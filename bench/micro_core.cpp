@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "alloc/max_quality.h"
-#include "alloc/sharded_greedy.h"
 #include "clustering/dynamic_clusterer.h"
 #include "clustering/linkage.h"
 #include "common/flags.h"
@@ -320,14 +319,27 @@ std::vector<Kernel> make_kernels(bool quick) {
         {}});
   }
 
-  // 3. Max-quality greedy allocation (Algorithm 1).
-  {
+  // 3. Max-quality greedy allocation (Algorithm 1), on two expertise
+  //    layouts: every task column distinct (no class sharing — the engine's
+  //    worst case), and columns shared per domain as the step pipeline
+  //    builds them (DESIGN.md §11).
+  for (const std::size_t domains : {std::size_t{0}, std::size_t{8}}) {
     const std::size_t users = quick ? 80 : 200;
     const std::size_t tasks = quick ? 200 : 600;
     Rng rng(5);
     auto problem = std::make_shared<eta2::alloc::AllocationProblem>();
     problem->expertise.assign(users, tasks);
-    for (double& u : problem->expertise.data()) u = rng.uniform(0.1, 3.0);
+    if (domains == 0) {
+      for (double& u : problem->expertise.data()) u = rng.uniform(0.1, 3.0);
+    } else {
+      for (std::size_t i = 0; i < users; ++i) {
+        std::vector<double> per_domain(domains);
+        for (double& u : per_domain) u = rng.uniform(0.1, 3.0);
+        for (std::size_t j = 0; j < tasks; ++j) {
+          problem->expertise(i, j) = per_domain[j % domains];
+        }
+      }
+    }
     problem->task_time.resize(tasks);
     for (double& t : problem->task_time) t = rng.uniform(0.5, 1.5);
     problem->user_capacity.assign(users, 12.0);
@@ -341,7 +353,7 @@ std::vector<Kernel> make_kernels(bool quick) {
           static_cast<double>(allocation.pair_count())};
     };
     kernels.push_back(Kernel{
-        "greedy_allocate", tasks,
+        domains == 0 ? "greedy_allocate" : "greedy_allocate_domains", tasks,
         [allocate_with]() {
           return allocate_with(eta2::alloc::GreedyImpl::kLazy);
         },
@@ -449,10 +461,11 @@ std::vector<Kernel> make_kernels(bool quick) {
   }
 
   // 5. Domain-sharded step kernel (DESIGN.md §12): one sharded truth
-  //    estimate + sharded max-quality allocation over 16 domains, timed
-  //    serial vs parallel by the harness (the per-shard fan-out is the
-  //    parallel surface). Extras record the monolithic reference path and
-  //    its bitwise check — kExact must match the unsharded bytes exactly.
+  //    estimate over 16 domains, timed serial vs parallel by the harness
+  //    (the per-shard fan-out is the parallel surface). Allocation has no
+  //    sharded route — the class plane already builds per domain. Extras
+  //    record the monolithic reference path and its bitwise check — kExact
+  //    must match the unsharded bytes exactly.
   {
     const std::size_t users = quick ? 60 : 150;
     const std::size_t tasks = quick ? 320 : 960;
@@ -461,12 +474,6 @@ std::vector<Kernel> make_kernels(bool quick) {
     auto data = std::make_shared<eta2::truth::ObservationSet>(users, tasks);
     auto domain =
         std::make_shared<std::vector<eta2::truth::DomainIndex>>(tasks);
-    auto problem = std::make_shared<eta2::alloc::AllocationProblem>();
-    problem->expertise.assign(users, tasks);
-    for (double& u : problem->expertise.data()) u = rng.uniform(0.1, 3.0);
-    problem->task_time.resize(tasks);
-    for (double& t : problem->task_time) t = rng.uniform(0.5, 1.5);
-    problem->user_capacity.assign(users, 10.0);
     for (std::size_t j = 0; j < tasks; ++j) {
       (*domain)[j] = j % domains;
       const double mu = rng.uniform(0.0, 20.0);
@@ -476,35 +483,20 @@ std::vector<Kernel> make_kernels(bool quick) {
     }
     auto plan = std::make_shared<eta2::truth::ShardPlan>(
         eta2::truth::ShardPlan::build(*domain, domains, 0));
-    const auto signature_of =
-        [](const eta2::truth::MleResult& fit,
-           const eta2::alloc::AllocationProblem& p,
-           const eta2::alloc::Allocation& allocation) {
-          std::vector<double> signature = fit.mu;
-          signature.insert(signature.end(), fit.sigma.begin(),
-                           fit.sigma.end());
-          signature.push_back(
-              eta2::alloc::allocation_objective(p, allocation, 0.1));
-          signature.push_back(static_cast<double>(allocation.pair_count()));
-          return signature;
-        };
-    const auto sharded = [data, domain, domains, problem, plan,
-                          signature_of]() {
-      const eta2::truth::Eta2Mle mle;
-      const auto fit = eta2::truth::sharded_estimate(
-          mle, *data, *domain, domains, *plan,
-          eta2::truth::ShardingTier::kExact);
-      eta2::alloc::MaxQualityAllocator::Options options;
-      const auto allocation = eta2::alloc::sharded_max_quality_allocate(
-          *problem, options, plan->tasks);
-      return signature_of(fit, *problem, allocation);
+    const auto signature_of = [](const eta2::truth::MleResult& fit) {
+      std::vector<double> signature = fit.mu;
+      signature.insert(signature.end(), fit.sigma.begin(), fit.sigma.end());
+      return signature;
     };
-    const auto monolithic = [data, domain, domains, problem, signature_of]() {
+    const auto sharded = [data, domain, domains, plan, signature_of]() {
       const eta2::truth::Eta2Mle mle;
-      const auto fit = mle.estimate(*data, *domain, domains);
-      const auto allocation =
-          eta2::alloc::MaxQualityAllocator().allocate(*problem);
-      return signature_of(fit, *problem, allocation);
+      return signature_of(eta2::truth::sharded_estimate(
+          mle, *data, *domain, domains, *plan,
+          eta2::truth::ShardingTier::kExact));
+    };
+    const auto monolithic = [data, domain, domains, signature_of]() {
+      const eta2::truth::Eta2Mle mle;
+      return signature_of(mle.estimate(*data, *domain, domains));
     };
     kernels.push_back(Kernel{
         "sharded_step", tasks, sharded,

@@ -1,8 +1,12 @@
 #include "alloc/max_quality.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -13,82 +17,204 @@
 namespace eta2::alloc {
 namespace {
 
-// Working state shared by both greedy engines: the p_ij matrix, remaining
-// per-user capacity, and each task's miss probability Π(1 − p_ij).
-class GreedyCore {
+// Cells per parallel chunk of a Φ build (the batched kernel hoists its
+// argument validation to once per chunk).
+constexpr std::size_t kPhiGrain = 4096;
+
+// Algorithm 1's working plane, built once per distinct expertise column
+// (DESIGN.md §11). Expertise is per domain (Eq. 6), so every task of a
+// domain carries the same n-entry column, hence the same p_ij and the same
+// (p desc, index asc) candidate order. Tasks whose columns are bitwise equal
+// share one class; the plane stores p_ij as n × K and the orders as K × n
+// for K classes, instead of n × m and m × n.
+class ClassPlane {
  public:
-  GreedyCore(const AllocationProblem& problem, const GreedyOptions& options,
-             const Allocation& allocation)
-      : problem_(problem),
-        options_(options),
-        allocation_(allocation),
-        m_(problem.task_count()) {
-    const std::size_t n = problem.user_count();
+  ClassPlane(const AllocationProblem& problem, double epsilon,
+             stats::FastMathTier tier)
+      : n_(problem.user_count()) {
+    const std::vector<TaskId> reps = classify(problem);
+    k_ = reps.size();
+    build_p(problem, reps, epsilon, tier);
+    build_orders();
+  }
+
+  [[nodiscard]] std::size_t class_of(TaskId j) const { return class_of_[j]; }
+  [[nodiscard]] double p(UserId i, std::size_t c) const {
+    return p_[i * k_ + c];
+  }
+  [[nodiscard]] const UserId* order(std::size_t c) const {
+    return order_.data() + c * n_;
+  }
+
+ private:
+  // Groups tasks by column. One row-major sweep hashes every column; a
+  // second row-major sweep compares each task bitwise against the first
+  // task with its hash, so the hash is never trusted — a collision can only
+  // leave a task in a class of its own. Returns the class representatives
+  // in ascending task order (class c's representative is reps[c]).
+  std::vector<TaskId> classify(const AllocationProblem& problem) {
     const std::size_t m = problem.task_count();
-    // p_ij matrix: one contiguous row-major buffer (cache-friendly for the
-    // per-task column scans below); cells are independent, so the build
-    // fans out over the parallel runtime. Each chunk goes through the
-    // batched Φ kernel, which hoists argument validation to once per chunk
-    // instead of two require()s per cell.
-    p_.assign(n * m, 0.0);
-    const std::span<const double> expertise = problem.expertise.data();
-    const std::span<double> p_span{p_};
+    const std::span<const double> cells = problem.expertise.data();
+    // Each step maps h to (h ^ bits) · odd, a bijection of h for a fixed
+    // cell, so columns that differ in a single cell never collide.
+    std::vector<std::uint64_t> hash(m, 0x9E3779B97F4A7C15ULL);
+    for (UserId i = 0; i < n_; ++i) {
+      const double* row = cells.data() + i * m;
+      for (TaskId j = 0; j < m; ++j) {
+        hash[j] = (hash[j] ^ std::bit_cast<std::uint64_t>(row[j])) *
+                  0xBF58476D1CE4E5B9ULL;
+      }
+    }
+    std::vector<TaskId> candidate(m);
+    std::unordered_map<std::uint64_t, TaskId> first;
+    first.reserve(m);
+    for (TaskId j = 0; j < m; ++j) {
+      candidate[j] = first.try_emplace(hash[j], j).first->second;
+    }
+    std::vector<char> mismatch(m, 0);
+    for (UserId i = 0; i < n_; ++i) {
+      const double* row = cells.data() + i * m;
+      for (TaskId j = 0; j < m; ++j) {
+        if (std::bit_cast<std::uint64_t>(row[j]) !=
+            std::bit_cast<std::uint64_t>(row[candidate[j]])) {
+          mismatch[j] = 1;
+        }
+      }
+    }
+    std::vector<TaskId> reps;
+    class_of_.resize(m);
+    for (TaskId j = 0; j < m; ++j) {
+      if (candidate[j] == j || mismatch[j] != 0) {
+        class_of_[j] = reps.size();
+        reps.push_back(j);
+      } else {
+        class_of_[j] = class_of_[candidate[j]];
+      }
+    }
+    return reps;
+  }
+
+  // p_ij for each class's representative column. The batched Φ kernel is
+  // elementwise, so every cell is bit-identical to a per-task build.
+  void build_p(const AllocationProblem& problem, std::span<const TaskId> reps,
+               double epsilon, stats::FastMathTier tier) {
+    const std::size_t m = problem.task_count();
+    const std::span<const double> cells = problem.expertise.data();
+    p_.assign(n_ * k_, 0.0);
+    if (k_ == 0) return;
+    const std::span<double> out{p_};
     parallel::parallel_for_chunks(
-        n * m, 4096, [&](std::size_t begin, std::size_t end) {
-          stats::accuracy_probability_batch(
-              expertise.subspan(begin, end - begin), options_.epsilon,
-              p_span.subspan(begin, end - begin), options_.fast_math);
-          for (std::size_t cell = begin; cell < end; ++cell) {
+        n_, std::max<std::size_t>(1, kPhiGrain / k_),
+        [&](std::size_t begin, std::size_t end) {
+          std::vector<double> u;
+          u.reserve((end - begin) * k_);
+          for (UserId i = begin; i < end; ++i) {
+            for (const TaskId rep : reps) u.push_back(cells[i * m + rep]);
+          }
+          const std::span<double> chunk =
+              out.subspan(begin * k_, (end - begin) * k_);
+          stats::accuracy_probability_batch(u, epsilon, chunk, tier);
+          for (std::size_t cell = begin * k_; cell < end * k_; ++cell) {
             // Algorithm 1's efficiency ordering assumes p_ij ∈ [0, 1].
             ETA2_ASSERT(p_[cell] >= 0.0 && p_[cell] <= 1.0);
           }
         });
-    remaining_.resize(n);
-    for (UserId i = 0; i < n; ++i) {
-      remaining_[i] = problem.user_capacity[i] - allocation.used_time(i);
-    }
-    miss_.assign(m, 1.0);
-    for (TaskId j = 0; j < m; ++j) {
-      for (const UserId i : allocation.users_of(j)) miss_[j] *= 1.0 - p(i, j);
-    }
   }
 
+  void build_orders() {
+    order_.resize(k_ * n_);
+    parallel::parallel_for(k_, 16, [&](std::size_t c) {
+      UserId* ord = order_.data() + c * n_;
+      std::iota(ord, ord + n_, UserId{0});
+      std::sort(ord, ord + n_, [&](UserId a, UserId b) {
+        const double pa = p(a, c);
+        const double pb = p(b, c);
+        if (pa != pb) return pa > pb;
+        return a < b;  // ties: ascending index, matching the rescan order
+      });
+    });
+  }
+
+  std::size_t n_;                      // user count
+  std::size_t k_ = 0;                  // class count
+  std::vector<std::size_t> class_of_;  // per task
+  std::vector<double> p_;              // row-major n × K
+  std::vector<UserId> order_;          // per class, (p desc, index asc)
+};
+
+// Working state shared by both greedy engines: remaining per-user capacity
+// and each task's miss probability Π(1 − p_ij). Each engine owns its p_ij
+// source and seeds miss_ through account_existing().
+class GreedyCore {
+ public:
   // Applies a selection to the shared state (both engines call this first,
   // then fix up their own caches).
-  void apply(UserId i, TaskId j, Allocation& allocation) {
+  void apply(UserId i, TaskId j, double p_ij, Allocation& allocation) {
     allocation.assign(i, j, problem_.task_time[j], problem_.cost_of(j));
     remaining_[i] -= problem_.task_time[j];
     // Capacity feasibility: an infeasible pair never has positive
     // efficiency, so a selected pair can never overdraw the time budget.
     ETA2_ASSERT(remaining_[i] >= 0.0);
-    miss_[j] *= 1.0 - p(i, j);
+    miss_[j] *= 1.0 - p_ij;
     ETA2_ASSERT(miss_[j] >= 0.0 && miss_[j] <= 1.0);
   }
 
  protected:
-  [[nodiscard]] double p(UserId i, TaskId j) const { return p_[i * m_ + j]; }
+  GreedyCore(const AllocationProblem& problem, const GreedyOptions& options,
+             const Allocation& allocation)
+      : problem_(problem), options_(options), allocation_(allocation) {
+    const std::size_t n = problem.user_count();
+    remaining_.resize(n);
+    for (UserId i = 0; i < n; ++i) {
+      remaining_[i] = problem.user_capacity[i] - allocation.used_time(i);
+    }
+    miss_.assign(problem.task_count(), 1.0);
+  }
+
+  // Folds the pairs already in the allocation into miss_.
+  template <typename P>
+  void account_existing(const P& p) {
+    for (TaskId j = 0; j < problem_.task_count(); ++j) {
+      for (const UserId i : allocation_.users_of(j)) miss_[j] *= 1.0 - p(i, j);
+    }
+  }
 
   const AllocationProblem& problem_;
   const GreedyOptions& options_;
   const Allocation& allocation_;
-  std::size_t m_;          // task count (row stride of p_)
-  std::vector<double> p_;  // row-major n × m accuracy probabilities
   std::vector<double> remaining_;
   std::vector<double> miss_;
 };
 
-// Reference engine: rescans every user of an invalidated task eagerly.
-// Kept verbatim as the semantics oracle for the lazy engine (the
-// equivalence suite in tests/alloc/lazy_greedy_test.cpp pins byte-identical
-// allocations between the two).
+// Reference engine: rescans every user of an invalidated task eagerly, over
+// its own per-cell p_ij matrix. Kept verbatim as the semantics oracle for
+// the lazy engine and independent of its class plane (the equivalence suite
+// in tests/alloc/lazy_greedy_test.cpp pins byte-identical allocations
+// between the two).
 class RescanGreedy : public GreedyCore {
  public:
   RescanGreedy(const AllocationProblem& problem, const GreedyOptions& options,
                const Allocation& allocation, GreedyStats& stats)
-      : GreedyCore(problem, options, allocation), stats_(stats) {
+      : GreedyCore(problem, options, allocation),
+        stats_(stats),
+        m_(problem.task_count()) {
+    const std::size_t n = problem.user_count();
     const std::size_t m = problem.task_count();
+    p_.assign(n * m, 0.0);
+    const std::span<const double> expertise = problem.expertise.data();
+    const std::span<double> p_span{p_};
+    parallel::parallel_for_chunks(
+        n * m, kPhiGrain, [&](std::size_t begin, std::size_t end) {
+          stats::accuracy_probability_batch(
+              expertise.subspan(begin, end - begin), options_.epsilon,
+              p_span.subspan(begin, end - begin), options_.fast_math);
+          for (std::size_t cell = begin; cell < end; ++cell) {
+            ETA2_ASSERT(p_[cell] >= 0.0 && p_[cell] <= 1.0);
+          }
+        });
+    account_existing([this](UserId i, TaskId j) { return p(i, j); });
     best_eff_.assign(m, 0.0);
-    best_user_.assign(m, problem.user_count());
+    best_user_.assign(m, n);
     for (TaskId j = 0; j < m; ++j) rescan_task(j);
   }
 
@@ -132,7 +258,7 @@ class RescanGreedy : public GreedyCore {
 
   // Applies the selection and refreshes the caches that it invalidated.
   void select(UserId i, TaskId j, Allocation& allocation) {
-    apply(i, j, allocation);
+    apply(i, j, p(i, j), allocation);
     ++stats_.selections;
     rescan_task(j);
     // Other tasks' cached best may reference user i, whose remaining
@@ -147,7 +273,11 @@ class RescanGreedy : public GreedyCore {
   }
 
  private:
+  [[nodiscard]] double p(UserId i, TaskId j) const { return p_[i * m_ + j]; }
+
   GreedyStats& stats_;
+  std::size_t m_;          // task count (row stride of p_)
+  std::vector<double> p_;  // row-major n × m accuracy probabilities
   std::vector<double> best_eff_;
   std::vector<UserId> best_user_;
 };
@@ -161,28 +291,20 @@ class RescanGreedy : public GreedyCore {
 //
 // Within one task every feasible user's efficiency is p_ij times the same
 // positive factor miss_[j](/t_j), so the per-task argmax is found without a
-// scan: users are pre-sorted by (p_ij desc, index asc) and a cursor skips
-// entries that became infeasible — permanently, because infeasibility is
-// monotone. A task refresh is then O(1) amortized instead of O(n).
+// scan: the class plane holds users sorted by (p_ij desc, index asc) and a
+// per-task cursor skips entries that became infeasible — permanently,
+// because infeasibility is monotone. A task refresh is then O(1) amortized
+// instead of O(n).
 class LazyGreedy : public GreedyCore {
  public:
   LazyGreedy(const AllocationProblem& problem, const GreedyOptions& options,
-             const Allocation& allocation, GreedyStats& stats)
-      : GreedyCore(problem, options, allocation), stats_(stats) {
+             const ClassPlane& plane, const Allocation& allocation,
+             GreedyStats& stats)
+      : GreedyCore(problem, options, allocation), plane_(plane), stats_(stats) {
     const std::size_t n = problem.user_count();
     const std::size_t m = problem.task_count();
-    order_.resize(n * m);
+    account_existing([this](UserId i, TaskId j) { return p(i, j); });
     cursor_.assign(m, 0);
-    parallel::parallel_for(m, 16, [&](std::size_t j) {
-      UserId* ord = order_.data() + j * n;
-      std::iota(ord, ord + n, UserId{0});
-      std::sort(ord, ord + n, [&](UserId a, UserId b) {
-        const double pa = p(a, j);
-        const double pb = p(b, j);
-        if (pa != pb) return pa > pb;
-        return a < b;  // ties: ascending index, matching the rescan order
-      });
-    });
     bound_.assign(m, 0.0);
     stamp_.assign(m, 0);
     candidate_.assign(m, n);
@@ -226,7 +348,7 @@ class LazyGreedy : public GreedyCore {
   }
 
   void select(UserId i, TaskId j, Allocation& allocation) {
-    apply(i, j, allocation);
+    apply(i, j, p(i, j), allocation);
     ++stats_.selections;
     ++version_;
     // The stale bound stays a valid upper bound (gains only decrease), so
@@ -250,6 +372,10 @@ class LazyGreedy : public GreedyCore {
     }
   };
 
+  [[nodiscard]] double p(UserId i, TaskId j) const {
+    return plane_.p(i, plane_.class_of(j));
+  }
+
   void push(Entry entry) {
     heap_.push_back(entry);
     std::push_heap(heap_.begin(), heap_.end(), EntryOrder{});
@@ -265,22 +391,22 @@ class LazyGreedy : public GreedyCore {
   // walk stops at the first strictly smaller efficiency.
   [[nodiscard]] double refresh_gain(TaskId j) {
     const std::size_t n = problem_.user_count();
-    const double task_time = problem_.task_time[j];
-    const UserId* ord = order_.data() + j * n;
+    const std::size_t c = plane_.class_of(j);
+    const UserId* ord = plane_.order(c);
     std::size_t& cur = cursor_[j];
     while (cur < n && !feasible(ord[cur], j)) ++cur;
     if (cur == n) {
       candidate_[j] = n;
       return 0.0;
     }
-    const double best = efficiency_of(ord[cur], j, task_time);
+    const double best = efficiency_of(ord[cur], c, j);
     if (!(best > 0.0)) {
       candidate_[j] = n;
       return 0.0;
     }
     UserId pick = ord[cur];
     for (std::size_t k = cur + 1; k < n; ++k) {
-      const double e = efficiency_of(ord[k], j, task_time);
+      const double e = efficiency_of(ord[k], c, j);
       if (e < best) break;  // p descending ⇒ no later entry can tie
       if (feasible(ord[k], j) && ord[k] < pick) pick = ord[k];
     }
@@ -288,10 +414,10 @@ class LazyGreedy : public GreedyCore {
     return best;
   }
 
-  [[nodiscard]] double efficiency_of(UserId i, TaskId j, double task_time) {
+  [[nodiscard]] double efficiency_of(UserId i, std::size_t c, TaskId j) {
     ++stats_.gain_evaluations;
-    const double gain = p(i, j) * miss_[j];
-    return options_.efficiency_per_time ? gain / task_time : gain;
+    const double gain = plane_.p(i, c) * miss_[j];
+    return options_.efficiency_per_time ? gain / problem_.task_time[j] : gain;
   }
 
   [[nodiscard]] bool feasible(UserId i, TaskId j) const {
@@ -299,15 +425,49 @@ class LazyGreedy : public GreedyCore {
            !allocation_.is_assigned(i, j);
   }
 
+  const ClassPlane& plane_;
   GreedyStats& stats_;
-  std::vector<UserId> order_;        // per-task users, (p desc, index asc)
-  std::vector<std::size_t> cursor_;  // first possibly-feasible order_ entry
+  std::vector<std::size_t> cursor_;  // first possibly-feasible order entry
   std::vector<double> bound_;        // current upper bound per task
   std::vector<std::size_t> stamp_;   // version bound_[j] was evaluated under
   std::vector<UserId> candidate_;    // argmax user of the last refresh
   std::vector<Entry> heap_;
   std::size_t version_ = 0;  // incremented per selection
 };
+
+// One greedy pass over a validated problem. The lazy engine reads `plane`;
+// the rescanning reference ignores it and builds its own per-cell p_ij.
+std::size_t run_pass(const AllocationProblem& problem,
+                     const GreedyOptions& options, const ClassPlane* plane,
+                     Allocation& allocation, GreedyStats& stats) {
+  stats = GreedyStats{};
+  std::size_t added = 0;
+  double spent = 0.0;
+  const auto drive = [&](auto& state) {
+    while (spent < options.cost_cap) {
+      UserId i = 0;
+      TaskId j = 0;
+      if (!state.next(i, j)) break;  // max efficiency hit zero
+      state.select(i, j, allocation);
+      spent += problem.cost_of(j);
+      ++added;
+    }
+  };
+  if (options.impl == GreedyImpl::kRescan) {
+    RescanGreedy state(problem, options, allocation, stats);
+    drive(state);
+  } else {
+    LazyGreedy state(problem, options, *plane, allocation, stats);
+    drive(state);
+  }
+  return added;
+}
+
+std::optional<ClassPlane> plane_for(const AllocationProblem& problem,
+                                    const GreedyOptions& options) {
+  if (options.impl == GreedyImpl::kRescan) return std::nullopt;
+  return ClassPlane(problem, options.epsilon, options.fast_math);
+}
 
 }  // namespace
 
@@ -323,28 +483,9 @@ std::size_t greedy_extend(const AllocationProblem& problem,
           "greedy_extend: allocation shape mismatch");
 
   GreedyStats local;
-  GreedyStats& counters = stats != nullptr ? *stats : local;
-  counters = GreedyStats{};
-  std::size_t added = 0;
-  double spent = 0.0;
-  const auto drive = [&](auto& state) {
-    while (spent < options.cost_cap) {
-      UserId i = 0;
-      TaskId j = 0;
-      if (!state.next(i, j)) break;  // max efficiency hit zero
-      state.select(i, j, allocation);
-      spent += problem.cost_of(j);
-      ++added;
-    }
-  };
-  if (options.impl == GreedyImpl::kRescan) {
-    RescanGreedy state(problem, options, allocation, counters);
-    drive(state);
-  } else {
-    LazyGreedy state(problem, options, allocation, counters);
-    drive(state);
-  }
-  return added;
+  const std::optional<ClassPlane> plane = plane_for(problem, options);
+  return run_pass(problem, options, plane ? &*plane : nullptr, allocation,
+                  stats != nullptr ? *stats : local);
 }
 
 MaxQualityAllocator::MaxQualityAllocator(Options options) : options_(options) {}
@@ -356,16 +497,20 @@ Allocation MaxQualityAllocator::allocate(const AllocationProblem& problem) const
 Allocation MaxQualityAllocator::allocate(const AllocationProblem& problem,
                                          GreedyStats* stats) const {
   problem.validate();
+  require(options_.epsilon > 0.0, "MaxQualityAllocator: epsilon must be > 0");
   GreedyOptions per_time;
   per_time.epsilon = options_.epsilon;
   per_time.efficiency_per_time = true;
   per_time.impl = options_.impl;
   per_time.fast_math = options_.fast_math;
+  // Both passes share one class plane: they differ only in the efficiency
+  // denominator, never in p_ij or the candidate orders.
+  const std::optional<ClassPlane> plane = plane_for(problem, per_time);
+  const ClassPlane* shared = plane ? &*plane : nullptr;
 
-  GreedyStats pass_stats;
+  GreedyStats total;
   Allocation primary(problem.user_count(), problem.task_count());
-  greedy_extend(problem, per_time, primary, stats ? &pass_stats : nullptr);
-  GreedyStats total = pass_stats;
+  run_pass(problem, per_time, shared, primary, total);
   if (!options_.half_approx_pass) {
     if (stats) *stats = total;
     return primary;
@@ -373,8 +518,9 @@ Allocation MaxQualityAllocator::allocate(const AllocationProblem& problem,
 
   GreedyOptions value_only = per_time;
   value_only.efficiency_per_time = false;
+  GreedyStats pass_stats;
   Allocation secondary(problem.user_count(), problem.task_count());
-  greedy_extend(problem, value_only, secondary, stats ? &pass_stats : nullptr);
+  run_pass(problem, value_only, shared, secondary, pass_stats);
   if (stats) {
     total.selections += pass_stats.selections;
     total.gain_evaluations += pass_stats.gain_evaluations;

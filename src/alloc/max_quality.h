@@ -15,7 +15,9 @@
 // §11): the reference rescanning greedy, and the default CELF-style lazy
 // greedy that exploits submodularity — every pick only shrinks every pair's
 // marginal gain, so stale cached gains are upper bounds and a max-heap of
-// them replaces the per-pick full scans.
+// them replaces the per-pick full scans. The lazy engine builds p_ij and its
+// candidate orders once per distinct expertise column — tasks of one domain
+// share one — and MaxQualityAllocator shares them between its two passes.
 #ifndef ETA2_ALLOC_MAX_QUALITY_H
 #define ETA2_ALLOC_MAX_QUALITY_H
 

@@ -34,9 +34,10 @@ std::size_t resolve_auto_threads() {
 std::atomic<std::size_t> g_thread_override{0};  // 0 = automatic
 
 // Lazily grown pool of persistent workers. A region posts one job (chunked
-// index range + body); the caller and the workers race to grab chunks via an
-// atomic cursor. Chunk boundaries are computed from (n, grain) alone, so
-// which thread runs a chunk never affects what the chunk computes.
+// index range + body) with lanes − 1 worker seats; the caller and the
+// workers that took a seat race to grab chunks via an atomic cursor. Chunk
+// boundaries are computed from (n, grain) alone, so which thread runs a
+// chunk never affects what the chunk computes.
 class Pool {
  public:
   static Pool& instance() {
@@ -64,6 +65,9 @@ class Pool {
       n_ = n;
       grain_ = grain;
       chunks_ = chunks;  // eta2-lint: allow(guarded-by) — see body_ above
+      // The caller is one lane; at most lanes − 1 workers may join, however
+      // many an earlier, wider region spawned.
+      seats_ = lanes - 1;
       done_chunks_ = 0;
       error_ = nullptr;
       next_chunk_.store(0, std::memory_order_relaxed);
@@ -113,7 +117,9 @@ class Pool {
       work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
-      if (body_ == nullptr) continue;  // job already drained by other lanes
+      // Job already drained by other lanes, or all of its seats are taken.
+      if (body_ == nullptr || seats_ == 0) continue;
+      --seats_;
       ++active_workers_;
       lock.unlock();
       work_chunks();
@@ -162,6 +168,7 @@ class Pool {
   bool stop_ ETA2_GUARDED_BY(mutex_) = false;
   std::uint64_t generation_ ETA2_GUARDED_BY(mutex_) = 0;
   std::size_t active_workers_ ETA2_GUARDED_BY(mutex_) = 0;
+  std::size_t seats_ ETA2_GUARDED_BY(mutex_) = 0;  // workers the job may admit
 
   // Current job (guarded by mutex_ for posting/reset; read by lanes that
   // observed the posting).

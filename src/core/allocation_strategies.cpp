@@ -1,6 +1,5 @@
 #include "core/allocation_strategies.h"
 
-#include "alloc/sharded_greedy.h"
 #include "common/error.h"
 
 namespace eta2::core {
@@ -15,21 +14,13 @@ void RandomStrategy::allocate(StepContext& ctx) {
 
 MaxQualityStrategy::MaxQualityStrategy(const Eta2Config& config)
     : allocator_(alloc::MaxQualityAllocator::Options{
-          config.epsilon, config.half_approx_pass}),
-      options_{config.epsilon, config.half_approx_pass} {}
+          config.epsilon, config.half_approx_pass}) {}
 
 void MaxQualityStrategy::allocate(StepContext& ctx) {
+  // One engine whether or not the step is sharded: the class plane already
+  // builds p_ij and the candidate orders once per domain (DESIGN.md §11).
   alloc::GreedyStats stats;
-  if (ctx.sharded.active()) {
-    // Sharded route (DESIGN.md §12): per-shard CELF engines + the serial
-    // capacity-coordination pass. Selection sequence is byte-identical to
-    // the monolithic allocator; only the work counters may differ.
-    ctx.allocation = alloc::sharded_max_quality_allocate(
-        ctx.problem, options_, ctx.sharded.plan().tasks, &stats,
-        &ctx.health.shard_alloc_ns);
-  } else {
-    ctx.allocation = allocator_.allocate(ctx.problem, &stats);
-  }
+  ctx.allocation = allocator_.allocate(ctx.problem, &stats);
   ctx.health.greedy_selections += stats.selections;
   ctx.health.greedy_gain_evaluations += stats.gain_evaluations;
   ctx.health.greedy_heap_pops += stats.heap_pops;

@@ -34,7 +34,6 @@ class MaxQualityStrategy final : public AllocationStrategy {
 
  private:
   alloc::MaxQualityAllocator allocator_;
-  alloc::MaxQualityAllocator::Options options_;
 };
 
 // Paper §5.2 (Algorithm 2): iterative c°-budgeted recruiting with the

@@ -88,8 +88,9 @@ Eta2Server Eta2Server::load(std::istream& in, Eta2Config config,
     } else if (trailer == "trust-ledger") {
       require(server.trust_.has_value(),
               "Eta2Server::load: trust-ledger trailer without defenses on");
-      std::string version;
-      require(static_cast<bool>(in >> version) && version == "v1",
+      std::string ledger_version;
+      require(static_cast<bool>(in >> ledger_version) &&
+                  ledger_version == "v1",
               "Eta2Server::load: bad trust-ledger version");
       truth::TrustLedger ledger =
           truth::TrustLedger::load_body(in, server.config_.trust);
@@ -171,8 +172,8 @@ Eta2Server::StepResult Eta2Server::step(std::span<const NewTask> tasks,
   cancellation_point();
 
   // --- Domain-sharded execution view (DESIGN.md §12): built once the
-  // batch's domain labels are final; the truth and allocation stages run
-  // shard-parallel against this plan and merge deterministically. ---
+  // batch's domain labels are final; the truth stage runs shard-parallel
+  // against this plan and merges deterministically. ---
   ctx.sharded.partition(ctx.task_domains, ctx.domain_count, config_);
   ctx.health.shard_count =
       ctx.sharded.active() ? ctx.sharded.plan().shard_count() : 0;

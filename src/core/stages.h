@@ -46,7 +46,7 @@ class DomainIdentifier {
 // explicitly shared, disjointly indexed buffers may be written; mutating
 // other StepContext members from a shard body is a contract violation
 // (flagged by eta2_lint rule 9, shard-shared-mutation). Strategies without
-// a sharded implementation simply ignore the view.
+// a sharded implementation — today all of them — simply ignore the view.
 class AllocationStrategy {
  public:
   virtual ~AllocationStrategy() = default;

@@ -27,7 +27,6 @@ void StepHealth::merge(const StepHealth& other) {
     for (std::size_t s = 0; s < from.size(); ++s) into[s] += from[s];
   };
   merge_ns(shard_truth_ns, other.shard_truth_ns);
-  merge_ns(shard_alloc_ns, other.shard_alloc_ns);
   greedy_selections += other.greedy_selections;
   greedy_gain_evaluations += other.greedy_gain_evaluations;
   greedy_heap_pops += other.greedy_heap_pops;

@@ -85,13 +85,12 @@ struct StepHealth {
   // The five scalar counters are deterministic and persist in the campaign
   // snapshot's extra block (eta2-sim-extra v2, sim/durable_sim.h), so a
   // resumed campaign reports its full health history. The per-shard
-  // wall-clock timing vectors are nondeterministic by nature and are NEVER
-  // serialized — they must not enter any compared artifact (checkpoint
+  // wall-clock timing vector is nondeterministic by nature and is NEVER
+  // serialized — it must not enter any compared artifact (checkpoint
   // bytes, WAL digests). None of these fields feed degraded().
   std::size_t shard_count = 0;               // shards in this step's plan
   std::size_t sharded_truth_iterations = 0;  // truth-stage iteration count
   std::vector<double> shard_truth_ns;        // per-shard truth-stage time
-  std::vector<double> shard_alloc_ns;        // per-shard engine build time
   // Greedy work counters (GreedyStats) from the max-quality allocator,
   // both ½-approximation passes summed; zero for other strategies.
   std::size_t greedy_selections = 0;

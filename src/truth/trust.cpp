@@ -364,8 +364,9 @@ TrustStepReport TrustLedger::end_step(const ObservationSet& raw,
   for (const auto& [key, stat] : pairs_) {
     if (stat.co_wrong >= options_.min_co_wrong &&
         stat.co_wrong >= options_.co_wrong_ratio * stat.co_observed) {
-      uf.unite(static_cast<std::size_t>(key >> 32),
-               static_cast<std::size_t>(key & 0xffffffffULL));
+      // key is a std::uint64_t, so the high half needs no cast; the mask
+      // literal is unsigned long long and does.
+      uf.unite(key >> 32, static_cast<std::size_t>(key & 0xffffffffULL));
     }
   }
   std::vector<std::size_t> component_size(m2_.size(), 0);

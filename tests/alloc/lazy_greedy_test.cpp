@@ -5,6 +5,7 @@
 // thread counts, while evaluating far fewer gains.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <tuple>
@@ -80,6 +81,91 @@ TEST_P(LazyGreedySweep, MatchesRescanByteForByte) {
   expect_identical(lazy.allocation, rescan.allocation);
   EXPECT_LE(lazy.stats.gain_evaluations, rescan.stats.gain_evaluations)
       << "seed " << seed;
+}
+
+// Domain-structured expertise as the step pipeline builds it: each task's
+// column is its domain's column, then every user row is scaled by its own
+// factor (the trust ledger's allocation discount). Tasks of one domain thus
+// share a bitwise-equal column and one class in the lazy engine's plane.
+AllocationProblem domain_problem(std::uint64_t seed, std::size_t users,
+                                 std::size_t tasks, std::size_t domains) {
+  AllocationProblem p = random_problem(seed, users, tasks);
+  Rng rng(seed * 104729 + 3);
+  std::vector<std::size_t> domain_of(tasks);
+  for (std::size_t& d : domain_of) {
+    d = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(domains) - 1));
+  }
+  for (UserId i = 0; i < users; ++i) {
+    std::vector<double> per_domain(domains);
+    for (double& u : per_domain) u = rng.uniform(0.0, 4.0);
+    const double scale = rng.bernoulli(0.3) ? rng.uniform(0.05, 1.0) : 1.0;
+    for (TaskId j = 0; j < tasks; ++j) {
+      p.expertise(i, j) = per_domain[domain_of[j]] * scale;
+    }
+  }
+  return p;
+}
+
+void expect_lazy_matches_rescan(const AllocationProblem& p,
+                                const GreedyOptions& options,
+                                const char* what) {
+  SCOPED_TRACE(what);
+  const RunResult lazy = run(p, options, GreedyImpl::kLazy);
+  const RunResult rescan = run(p, options, GreedyImpl::kRescan);
+  EXPECT_EQ(lazy.added, rescan.added);
+  EXPECT_EQ(lazy.stats.selections, rescan.stats.selections);
+  expect_identical(lazy.allocation, rescan.allocation);
+  EXPECT_LE(lazy.stats.gain_evaluations, rescan.stats.gain_evaluations);
+}
+
+TEST_P(LazyGreedySweep, DomainColumnsMatchRescanByteForByte) {
+  const auto [seed, per_time] = GetParam();
+  GreedyOptions options;
+  options.efficiency_per_time = per_time;
+  const std::size_t users = 9;
+  const std::size_t tasks = 18;
+
+  // K shared columns with per-row scaling.
+  const AllocationProblem shared = domain_problem(seed, users, tasks, 3);
+  expect_lazy_matches_rescan(shared, options, "shared columns");
+
+  // One column one ulp away from its twin in a single cell: the two tasks
+  // must land in different classes, and the ulp must still steer the
+  // tie-breaks exactly as the per-cell oracle does.
+  AllocationProblem ulp = shared;
+  const UserId cell_user = seed % users;
+  ulp.expertise(cell_user, 1) = std::nextafter(ulp.expertise(cell_user, 1),
+                                               8.0);
+  expect_lazy_matches_rescan(ulp, options, "one-ulp twin");
+
+  // A +0.0 / −0.0 pair: bitwise different columns with equal values.
+  AllocationProblem zeros = shared;
+  for (UserId i = 0; i < users; i += 2) {
+    zeros.expertise(i, 2) = 0.0;
+    zeros.expertise(i, 3) = -0.0;
+  }
+  expect_lazy_matches_rescan(zeros, options, "signed-zero pair");
+
+  // Min-cost style: tasks that passed their quality check have their
+  // columns zeroed, and a capped round extends a prepopulated allocation.
+  AllocationProblem zeroed = shared;
+  for (TaskId j = 0; j < tasks; j += 3) {
+    for (UserId i = 0; i < users; ++i) zeroed.expertise(i, j) = 0.0;
+  }
+  GreedyOptions capped = options;
+  capped.cost_cap = 4.0;
+  Allocation lazy(users, tasks);
+  Allocation rescan(users, tasks);
+  for (int round = 0; round < 3; ++round) {
+    capped.impl = GreedyImpl::kLazy;
+    const std::size_t lazy_added = greedy_extend(zeroed, capped, lazy);
+    capped.impl = GreedyImpl::kRescan;
+    const std::size_t rescan_added = greedy_extend(zeroed, capped, rescan);
+    EXPECT_EQ(lazy_added, rescan_added) << "round " << round;
+    expect_identical(lazy, rescan);
+  }
+  for (TaskId j = 0; j < tasks; j += 3) EXPECT_TRUE(lazy.users_of(j).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace eta2::parallel {
@@ -138,6 +142,33 @@ TEST(ParallelTest, NestedRegionsRunInline) {
   });
   EXPECT_EQ(inner_total.load(), 40);
   EXPECT_FALSE(in_parallel_region());
+}
+
+// Distinct threads that ran a chunk of a 64-chunk region. Each chunk sleeps
+// briefly so every lane the pool admits has time to take part.
+std::size_t distinct_chunk_threads() {
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  parallel_for_chunks(64, 1, [&](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  });
+  return ids.size();
+}
+
+TEST(ParallelTest, ShrunkLaneCountCapsParticipatingThreads) {
+  // Spawn eight lanes' worth of workers first; a later, narrower region
+  // must still run on no more threads than its own lane count.
+  {
+    const ThreadCountGuard guard(8);
+    EXPECT_LE(distinct_chunk_threads(), 8u);
+  }
+  for (const std::size_t lanes : {std::size_t{2}, std::size_t{1},
+                                  std::size_t{3}}) {
+    const ThreadCountGuard guard(lanes);
+    EXPECT_LE(distinct_chunk_threads(), lanes) << "lanes " << lanes;
+  }
 }
 
 TEST(ParallelTest, SetThreadCountInsideRegionThrows) {

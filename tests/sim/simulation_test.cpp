@@ -65,7 +65,7 @@ TEST(SimulateTest, Eta2RunsAllDaysAndImproves) {
 
 TEST(SimulateTest, ShardObservabilitySurfacesOnResultHealth) {
   // The sharded step pipeline is on by default: the aggregated health
-  // ledger must carry the shard plan size, per-shard stage timings, and
+  // ledger must carry the shard plan size, the per-shard truth timings, and
   // the max-quality greedy's work counters (DESIGN.md §12).
   const Dataset d = make_synthetic(small_synthetic(), 5);
   const SimOptions options;
@@ -73,9 +73,9 @@ TEST(SimulateTest, ShardObservabilitySurfacesOnResultHealth) {
   EXPECT_GT(r.health.shard_count, 0u);
   EXPECT_GT(r.health.sharded_truth_iterations, 0u);
   EXPECT_FALSE(r.health.shard_truth_ns.empty());
-  EXPECT_FALSE(r.health.shard_alloc_ns.empty());
   EXPECT_GT(r.health.greedy_selections, 0u);
   EXPECT_GT(r.health.greedy_gain_evaluations, 0u);
+  EXPECT_GT(r.health.greedy_heap_pops, 0u);
   // Timings are observability only — they must never flip a run degraded.
   EXPECT_FALSE(r.health.degraded());
 }

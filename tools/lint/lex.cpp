@@ -102,8 +102,9 @@ std::string scrub_source(std::string_view source) {
             out += c;
             break;
           }
-          const std::string closer =
-              ")" + std::string(source.substr(i + 2, paren - (i + 2))) + "\"";
+          std::string closer = ")";
+          closer.append(source.substr(i + 2, paren - (i + 2)));
+          closer += '"';
           std::size_t close = source.find(closer, paren + 1);
           if (close == std::string_view::npos) close = source.size();
           const std::size_t end = std::min(source.size(), close + closer.size());
