@@ -48,7 +48,6 @@
 #include "text/skipgram.h"
 #include "truth/eta2_mle.h"
 #include "truth/expertise_store.h"
-#include "truth/sharding.h"
 
 namespace {
 
@@ -460,67 +459,7 @@ std::vector<Kernel> make_kernels(bool quick) {
         }});
   }
 
-  // 5. Domain-sharded step kernel (DESIGN.md §12): one sharded truth
-  //    estimate over 16 domains, timed serial vs parallel by the harness
-  //    (the per-shard fan-out is the parallel surface). Allocation has no
-  //    sharded route — the class plane already builds per domain. Extras
-  //    record the monolithic reference path and its bitwise check — kExact
-  //    must match the unsharded bytes exactly.
-  {
-    const std::size_t users = quick ? 60 : 150;
-    const std::size_t tasks = quick ? 320 : 960;
-    const std::size_t domains = 16;
-    Rng rng(29);
-    auto data = std::make_shared<eta2::truth::ObservationSet>(users, tasks);
-    auto domain =
-        std::make_shared<std::vector<eta2::truth::DomainIndex>>(tasks);
-    for (std::size_t j = 0; j < tasks; ++j) {
-      (*domain)[j] = j % domains;
-      const double mu = rng.uniform(0.0, 20.0);
-      for (std::size_t i = 0; i < users; ++i) {
-        if (rng.bernoulli(0.25)) data->add(j, i, rng.normal(mu, 1.0));
-      }
-    }
-    auto plan = std::make_shared<eta2::truth::ShardPlan>(
-        eta2::truth::ShardPlan::build(*domain, domains, 0));
-    const auto signature_of = [](const eta2::truth::MleResult& fit) {
-      std::vector<double> signature = fit.mu;
-      signature.insert(signature.end(), fit.sigma.begin(), fit.sigma.end());
-      return signature;
-    };
-    const auto sharded = [data, domain, domains, plan, signature_of]() {
-      const eta2::truth::Eta2Mle mle;
-      return signature_of(eta2::truth::sharded_estimate(
-          mle, *data, *domain, domains, *plan,
-          eta2::truth::ShardingTier::kExact));
-    };
-    const auto monolithic = [data, domain, domains, signature_of]() {
-      const eta2::truth::Eta2Mle mle;
-      return signature_of(mle.estimate(*data, *domain, domains));
-    };
-    kernels.push_back(Kernel{
-        "sharded_step", tasks, sharded,
-        [sharded, monolithic, domains](int reps, KernelTiming& timing) {
-          std::vector<double> mono_signature;
-          const double mono_ns =
-              time_median_ns(monolithic, reps, mono_signature);
-          std::vector<double> sharded_signature;
-          const double sharded_ns =
-              time_median_ns(sharded, reps, sharded_signature);
-          timing.extra.emplace_back("domains", std::to_string(domains));
-          timing.extra.emplace_back("unsharded_ns_per_op", format_ns(mono_ns));
-          timing.extra.emplace_back("sharded_ns_per_op",
-                                    format_ns(sharded_ns));
-          timing.extra.emplace_back("sharded_overhead_ratio",
-                                    format_ratio(sharded_ns, mono_ns));
-          timing.extra.emplace_back(
-              "unsharded_bit_identical",
-              bitwise_equal(mono_signature, sharded_signature) ? "true"
-                                                               : "false");
-        }});
-  }
-
-  // 6. One full simulation run (pre-known-domain synthetic dataset; the
+  // 5. One full simulation run (pre-known-domain synthetic dataset; the
   //    multi-day loop exercises MLE + greedy together).
   {
     const std::size_t tasks = quick ? 150 : 400;

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "truth/eta2_mle.h"
-#include "truth/sharding.h"
 #include "truth/trust.h"
 
 namespace eta2::core {
@@ -56,21 +55,6 @@ struct Eta2Config {
   // Per-task observer cap for the random/reliability-greedy strategies
   // (0 = unbounded). The paper's warm-up runs unbounded.
   std::size_t max_users_per_task = 0;
-
-  // --- domain-sharded step execution (DESIGN.md §12) ---
-  // Number of shards the step pipeline partitions each batch into. 0 (the
-  // default) gives every domain its own shard; G > 0 folds domain k into
-  // shard k % G (1 runs the monolithic layout through the sharded path).
-  std::size_t shard_count = 0;
-  // How far the sharded path may deviate from the monolithic reference.
-  // The default kExact is bit-identical at any thread/shard count; other
-  // tiers are explicitly versioned with their own pinned transcripts (see
-  // truth/sharding.h).
-  truth::ShardingTier sharding_tier = truth::ShardingTier::kExact;
-  // Escape hatch: disables the sharded path entirely and runs the legacy
-  // monolithic stage implementations (results are bit-identical under
-  // kExact either way; this exists for A/B benchmarking and triage).
-  bool sharded_step = true;
 
   // --- adversarial defenses (DESIGN.md §14) ---
   // Trust ledger + defended Eq. 5/6 estimation. The default tier is

@@ -1,5 +1,6 @@
 #include "core/eta2_server.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -171,12 +172,7 @@ Eta2Server::StepResult Eta2Server::step(std::span<const NewTask> tasks,
   ctx.domain_count = store_.domain_count();
   cancellation_point();
 
-  // --- Domain-sharded execution view (DESIGN.md §12): built once the
-  // batch's domain labels are final; the truth stage runs shard-parallel
-  // against this plan and merges deterministically. ---
-  ctx.sharded.partition(ctx.task_domains, ctx.domain_count, config_);
-  ctx.health.shard_count =
-      ctx.sharded.active() ? ctx.sharded.plan().shard_count() : 0;
+  ctx.health.shard_count = std::max<std::size_t>(ctx.domain_count, 1);
 
   // --- Contiguous allocation plane shared by all strategies. ---
   alloc::AllocationProblem& problem = ctx.problem;
@@ -242,8 +238,8 @@ void Eta2Server::defended_update(TruthUpdater& update, StepContext& ctx) {
     // MLE (the ledger has no evidence yet — everyone's trust is 1).
     update_with_fallback(update, ctx);
   } else {
-    // Steady state: the trusted monolithic sweep (influence caps +
-    // trust weights) replaces the configured updater. Falls back exactly
+    // Steady state: the trusted dynamic update (influence caps + trust
+    // weights) replaces the configured updater. Falls back exactly
     // like update_with_fallback on numerical failure.
     try {
       const truth::DynamicUpdateResult result = trust_->trusted_dynamic_update(

@@ -36,17 +36,8 @@ class DomainIdentifier {
 // observations themselves while allocating (min-cost's incremental
 // Algorithm 2 loop) also fill ctx.observations / ctx.data_iterations and
 // return true from collects_observations(), which makes the composer skip
-// the shared collection pass.
-//
-// Shard contract (DESIGN.md §12): when ctx.sharded.active(), a strategy MAY
-// run shard-parallel against ctx.sharded.plan() — one dispatch per shard
-// with fixed boundaries, merging in domain-index order so the result is
-// identical at any thread count (bit-identical under ShardingTier::kExact).
-// Inside a shard-dispatched body, only shard-local state and the stage's
-// explicitly shared, disjointly indexed buffers may be written; mutating
-// other StepContext members from a shard body is a contract violation
-// (flagged by eta2_lint rule 9, shard-shared-mutation). Strategies without
-// a sharded implementation — today all of them — simply ignore the view.
+// the shared collection pass. Results must be bit-identical at any thread
+// count (common/parallel.h).
 class AllocationStrategy {
  public:
   virtual ~AllocationStrategy() = default;
@@ -57,12 +48,8 @@ class AllocationStrategy {
 
 // Module 2: turns ctx.observations into ctx.truth / ctx.sigma /
 // ctx.mle_iterations and commits the step's expertise contributions into
-// ctx.store.
-//
-// Shard contract: same as AllocationStrategy — when ctx.sharded.active(),
-// updaters may fan Eq. 5/6 sweeps out per shard (truth::sharded_estimate /
-// sharded_dynamic_update) and must fold results back serially in
-// domain-index order; ctx.store commits stay on the serial merge path.
+// ctx.store. The Eq. 5/6 sweeps fan out per task and per user inside
+// truth/; ctx.store commits stay serial.
 class TruthUpdater {
  public:
   virtual ~TruthUpdater() = default;

@@ -21,12 +21,6 @@ void StepHealth::merge(const StepHealth& other) {
   quarantined_batches += other.quarantined_batches;
   shard_count = std::max(shard_count, other.shard_count);
   sharded_truth_iterations += other.sharded_truth_iterations;
-  const auto merge_ns = [](std::vector<double>& into,
-                           const std::vector<double>& from) {
-    if (into.size() < from.size()) into.resize(from.size(), 0.0);
-    for (std::size_t s = 0; s < from.size(); ++s) into[s] += from[s];
-  };
-  merge_ns(shard_truth_ns, other.shard_truth_ns);
   greedy_selections += other.greedy_selections;
   greedy_gain_evaluations += other.greedy_gain_evaluations;
   greedy_heap_pops += other.greedy_heap_pops;

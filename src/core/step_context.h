@@ -20,7 +20,6 @@
 #include "alloc/allocation.h"
 #include "common/rng.h"
 #include "core/config.h"
-#include "core/sharded_context.h"
 #include "text/embedder.h"
 #include "truth/eta2_mle.h"
 #include "truth/expertise_store.h"
@@ -81,16 +80,15 @@ struct StepHealth {
   // crash recovery reproduces the decision).
   std::size_t quarantined_batches = 0;
 
-  // --- sharded-execution observability (DESIGN.md §12) ---
-  // The five scalar counters are deterministic and persist in the campaign
-  // snapshot's extra block (eta2-sim-extra v2, sim/durable_sim.h), so a
-  // resumed campaign reports its full health history. The per-shard
-  // wall-clock timing vector is nondeterministic by nature and is NEVER
-  // serialized — it must not enter any compared artifact (checkpoint
-  // bytes, WAL digests). None of these fields feed degraded().
-  std::size_t shard_count = 0;               // shards in this step's plan
-  std::size_t sharded_truth_iterations = 0;  // truth-stage iteration count
-  std::vector<double> shard_truth_ns;        // per-shard truth-stage time
+  // --- work counters ---
+  // Deterministic, persisted in the campaign snapshot's extra block
+  // (eta2-sim-extra v2, sim/durable_sim.h) so a resumed campaign reports
+  // its full health history; none feed degraded(). The first two keep the
+  // names of the v2 slots they fill.
+  std::size_t shard_count = 0;  // max(domain_count, 1) of the step
+  // Iterations of the configured truth updaters (warm-up MLE, dynamic
+  // update); the trust ledger's steady-state update adds none.
+  std::size_t sharded_truth_iterations = 0;
   // Greedy work counters (GreedyStats) from the max-quality allocator,
   // both ½-approximation passes summed; zero for other strategies.
   std::size_t greedy_selections = 0;
@@ -146,10 +144,6 @@ struct StepContext {
   // --- Module 1 outputs ---
   std::vector<truth::DomainIndex> task_domains;  // dense index per task
   std::size_t domain_count = 0;
-
-  // --- sharded execution view (built by the composer once task_domains is
-  // final; stages fall back to their monolithic paths when inactive) ---
-  ShardedStepContext sharded;
 
   // --- contiguous allocation plane (input to Module 3) ---
   alloc::AllocationProblem problem;

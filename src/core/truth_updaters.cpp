@@ -1,9 +1,6 @@
 #include "core/truth_updaters.h"
 
-#include <utility>
-
 #include "common/error.h"
-#include "truth/sharding.h"
 
 namespace eta2::core {
 
@@ -14,19 +11,10 @@ WarmupJointMleUpdater::WarmupJointMleUpdater(const Eta2Config& config) {
 void WarmupJointMleUpdater::update(StepContext& ctx) {
   require(ctx.store != nullptr && ctx.mle != nullptr && ctx.config != nullptr,
           "WarmupJointMleUpdater: store, mle and config required");
-  truth::MleResult fit;
-  if (ctx.sharded.active()) {
-    truth::ShardStageStats stats;
-    fit = truth::sharded_estimate(*ctx.mle, ctx.observations, ctx.task_domains,
-                                  ctx.domain_count, ctx.sharded.plan(),
-                                  ctx.sharded.tier(), {}, &stats);
-    ctx.health.shard_truth_ns = std::move(stats.shard_ns);
-    ctx.health.sharded_truth_iterations +=
-        static_cast<std::size_t>(fit.iterations);
-  } else {
-    fit = ctx.mle->estimate(ctx.observations, ctx.task_domains,
-                            ctx.domain_count);
-  }
+  const truth::MleResult fit = ctx.mle->estimate(
+      ctx.observations, ctx.task_domains, ctx.domain_count);
+  ctx.health.sharded_truth_iterations +=
+      static_cast<std::size_t>(fit.iterations);
   ctx.truth = fit.mu;
   ctx.sigma = fit.sigma;
   ctx.mle_iterations = fit.iterations;
@@ -46,19 +34,10 @@ DynamicTruthUpdater::DynamicTruthUpdater(const Eta2Config& config)
 void DynamicTruthUpdater::update(StepContext& ctx) {
   require(ctx.store != nullptr && ctx.mle != nullptr,
           "DynamicTruthUpdater: store and mle required");
-  truth::DynamicUpdateResult result;
-  if (ctx.sharded.active()) {
-    truth::ShardStageStats stats;
-    result = truth::sharded_dynamic_update(
-        *ctx.store, ctx.observations, ctx.task_domains, alpha_, *ctx.mle,
-        ctx.sharded.plan(), ctx.sharded.tier(), &stats);
-    ctx.health.shard_truth_ns = std::move(stats.shard_ns);
-    ctx.health.sharded_truth_iterations +=
-        static_cast<std::size_t>(result.iterations);
-  } else {
-    result = truth::dynamic_update(*ctx.store, ctx.observations,
-                                   ctx.task_domains, alpha_, *ctx.mle);
-  }
+  const truth::DynamicUpdateResult result = truth::dynamic_update(
+      *ctx.store, ctx.observations, ctx.task_domains, alpha_, *ctx.mle);
+  ctx.health.sharded_truth_iterations +=
+      static_cast<std::size_t>(result.iterations);
   ctx.truth = result.mu;
   ctx.sigma = result.sigma;
   ctx.mle_iterations = result.iterations;

@@ -226,12 +226,12 @@ core::StepHealth read_step_health(std::istream& in, int version) {
   h.truth_fallback = truth_fallback != 0;
   h.empty_batch = empty_batch != 0;
   if (version >= 2) {
-    // v2 appended the deterministic shard/greedy work counters; a v1 block
-    // simply resumes them from zero.
+    // v2 appended the deterministic work counters; a v1 block simply
+    // resumes them from zero.
     if (!(in >> h.shard_count >> h.sharded_truth_iterations >>
           h.greedy_selections >> h.greedy_gain_evaluations >>
           h.greedy_heap_pops)) {
-      bad_extra("shard/greedy counters");
+      bad_extra("work counters");
     }
     // Optional trust-defense trailer, marked "T" (defended campaigns only).
     in >> std::ws;

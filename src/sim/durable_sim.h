@@ -21,15 +21,15 @@
 namespace eta2::sim {
 
 // Version of the campaign snapshot's `extra` block simulate_durable writes.
-// v2 added the deterministic shard/greedy StepHealth counters; v1 blocks
-// still load (those counters simply resume from zero).
+// v2 added the deterministic domain/iteration/greedy StepHealth counters;
+// v1 blocks still load (those counters simply resume from zero).
 inline constexpr int kSimExtraVersion = 2;
 
 // StepHealth serialization inside the extra block: the eleven fault
-// counters (v1), plus — from v2 on — the five deterministic
-// sharded-execution / greedy work counters. The per-shard wall-clock timing
-// vectors are nondeterministic and are never serialized. Exposed so tests
-// can pin the format and round-trip both versions.
+// counters (v1), plus — from v2 on — the five deterministic work counters
+// (domain count, truth iterations, greedy selections / gain evaluations /
+// heap pops). Exposed so tests can pin the format and round-trip both
+// versions.
 void write_step_health(std::ostream& out, const core::StepHealth& health);
 [[nodiscard]] core::StepHealth read_step_health(std::istream& in, int version);
 

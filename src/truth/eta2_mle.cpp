@@ -202,36 +202,10 @@ MleResult Eta2Mle::estimate(
   MleResult result;
   result.expertise = initial_expertise_matrix(n, domain_count, initial_expertise);
 
-  // User-major index of the observations (CSR layout; tasks stay ascending
-  // within each user). This lets the Eq. 6 accumulation fan out over users
-  // (each user owns its accumulator row), while each (user, domain) cell
-  // still receives its contributions in the task order the serial task-major
-  // loop used — so the sums are bit-identical to serial at any thread count.
-  struct UserObs {
-    TaskId task = 0;
-    double value = 0.0;
-  };
-  std::vector<std::size_t> obs_offset(n + 1, 0);
-  std::vector<UserObs> user_obs(data.total_observations());
-  {
-    for (TaskId j = 0; j < m; ++j) {
-      for (const Observation& o : data.for_task(j)) ++obs_offset[o.user + 1];
-    }
-    for (UserId i = 0; i < n; ++i) obs_offset[i + 1] += obs_offset[i];
-    std::vector<std::size_t> cursor(obs_offset.begin(), obs_offset.end() - 1);
-    for (TaskId j = 0; j < m; ++j) {
-      for (const Observation& o : data.for_task(j)) {
-        user_obs[cursor[o.user]++] = UserObs{j, o.value};
-      }
-    }
-    // CSR shape invariants: the prefix sum must cover exactly the
-    // observation count and every user's cursor must have landed on the
-    // next user's offset — otherwise the Eq. 6 fan-out reads garbage.
-    ETA2_ENSURES(obs_offset[n] == user_obs.size());
-    for (UserId i = 0; i < n; ++i) {
-      ETA2_ASSERT(cursor[i] == obs_offset[i + 1]);
-    }
-  }
+  // User-major index of the observations: the Eq. 6 accumulation fans out
+  // over users (each user owns its accumulator row), bit-identical to the
+  // serial task-major loop at any thread count.
+  const UserMajorObservations by_user(data);
 
   std::vector<double> prev_mu;
   // estimate()'s own argument checks (task_domain[j] < domain_count, every
@@ -254,18 +228,18 @@ MleResult Eta2Mle::estimate(
     parallel::parallel_for(n, 16, [&](UserId i) {
       double* num_row = num.data() + i * domain_count;
       double* den_row = den.data() + i * domain_count;
-      for (std::size_t t = obs_offset[i]; t < obs_offset[i + 1]; ++t) {
-        const TaskId j = user_obs[t].task;
+      for (const UserMajorObservations::Entry& o : by_user.of_user(i)) {
+        const TaskId j = o.task;
         // Skip corrupt values and tasks with no truth estimate (all-corrupt
         // data): one NaN must not poison the user's accumulator row.
-        if (!std::isfinite(user_obs[t].value) || !std::isfinite(result.mu[j])) {
+        if (!std::isfinite(o.value) || !std::isfinite(result.mu[j])) {
           continue;
         }
         const DomainIndex k = task_domain[j];
-        // σ_j > 0 whenever μ_j is finite (estimate_truth_only floors it);
-        // dividing by a zero/NaN σ would poison the expertise row.
+        // σ_j > 0 whenever μ_j is finite (sweep_task floors it); dividing
+        // by a zero/NaN σ would poison the expertise row.
         ETA2_ASSERT(result.sigma[j] > 0.0);
-        const double e = (user_obs[t].value - result.mu[j]) / result.sigma[j];
+        const double e = (o.value - result.mu[j]) / result.sigma[j];
         num_row[k] += 1.0;
         den_row[k] += e * e;
       }
@@ -292,9 +266,9 @@ MleResult Eta2Mle::estimate(
   if (options_.anchor_mean > 0.0) {
     std::vector<char> has_data(n * domain_count, 0);
     parallel::parallel_for(n, 64, [&](UserId i) {
-      for (std::size_t t = obs_offset[i]; t < obs_offset[i + 1]; ++t) {
-        if (!std::isfinite(user_obs[t].value)) continue;  // corrupt: no data
-        has_data[i * domain_count + task_domain[user_obs[t].task]] = 1;
+      for (const UserMajorObservations::Entry& o : by_user.of_user(i)) {
+        if (!std::isfinite(o.value)) continue;  // corrupt: no data
+        has_data[i * domain_count + task_domain[o.task]] = 1;
       }
     });
     apply_gauge_anchor(has_data, domain_count, result.expertise, result.sigma);

@@ -15,6 +15,7 @@
 #define ETA2_TRUTH_ETA2_MLE_H
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -60,15 +61,23 @@ struct MleResult {
   bool converged = false;
 };
 
-// Convergence predicate shared by every truth-iteration loop (estimate,
-// dynamic_update, and their sharded counterparts): true iff every task's
-// estimate moved less than `threshold` (relative, with an absolute floor for
-// estimates near zero). The serial ascending-j early-exit scan is part of
-// the determinism contract — all loops must agree bit-for-bit on when to
-// stop iterating.
+// Convergence predicate shared by both truth-iteration loops (estimate and
+// dynamic_update): true iff every task's estimate moved less than
+// `threshold` (relative, with an absolute floor for estimates near zero).
+// The serial ascending-j early-exit scan is part of the determinism
+// contract — both loops must agree bit-for-bit on when to stop iterating.
 [[nodiscard]] bool truth_converged(std::span<const double> prev_mu,
                                    std::span<const double> mu,
                                    double threshold);
+
+class ExpertiseStore;
+struct DynamicUpdateResult;
+
+// The expertise the dynamic update's Eq. 5 sweeps see, given the candidate
+// expertise matrix [user][domain]. An empty view means the candidate itself;
+// the trust ledger passes its capped, trust-weighted view (truth/trust.h).
+using ExpertiseView = std::function<std::vector<std::vector<double>>(
+    const std::vector<std::vector<double>>&)>;
 
 class Eta2Mle {
  public:
@@ -78,28 +87,43 @@ class Eta2Mle {
 
   // Runs the full joint estimation. `task_domain[j]` in [0, domain_count).
   // `initial_expertise`, when non-empty, seeds u (expertise[user][domain])
-  // instead of the flat initial value — used by the dynamic update and by
-  // warm starts.
+  // instead of the flat initial value — used by the min-cost allocator's
+  // per-round truth refresh and by warm starts.
   [[nodiscard]] MleResult estimate(
       const ObservationSet& data, std::span<const DomainIndex> task_domain,
       std::size_t domain_count,
       const std::vector<std::vector<double>>& initial_expertise = {}) const;
 
   // One fixed-expertise sweep of Eq. 5: computes μ and σ for every task
-  // given frozen expertise values. Used by the min-cost allocator's
-  // per-iteration truth refresh and by the dynamic update's first step.
+  // given frozen expertise values. Used by the trust filter's provisional
+  // truth and by the truth fallback.
   void estimate_truth_only(const ObservationSet& data,
                            std::span<const DomainIndex> task_domain,
                            const std::vector<std::vector<double>>& expertise,
                            std::vector<double>& mu,
                            std::vector<double>& sigma) const;
 
-  // Eq. 5 for a single task, with validation already done: task j's domain
-  // index must be in range for every observer's expertise row, and mu[j] /
-  // sigma[j] must be pre-set to NaN (a task with no usable data leaves them
-  // untouched). This is the exact per-task body of the full sweep, exposed
-  // so the domain-sharded path (truth/sharding.h) produces bit-identical
-  // results by construction.
+ private:
+  // The dynamic update (truth/expertise_store.h) validates its domain range
+  // once and then runs truth_sweep in every iteration.
+  friend DynamicUpdateResult dynamic_update(
+      ExpertiseStore& store, const ObservationSet& new_data,
+      std::span<const DomainIndex> new_task_domain, double alpha,
+      const Eta2Mle& mle, const ExpertiseView& sweep_view);
+
+  // Eq. 5 sweep with validation already done: every observed task's domain
+  // index is in range for every observer's expertise row. estimate() and
+  // dynamic_update() prove this from their own argument checks;
+  // estimate_truth_only() establishes it with a hoisted pre-pass — either
+  // way no throwing validation runs inside the parallel region (the
+  // hot-loop-require lint rule).
+  void truth_sweep(const ObservationSet& data,
+                   std::span<const DomainIndex> task_domain,
+                   const std::vector<std::vector<double>>& expertise,
+                   std::vector<double>& mu, std::vector<double>& sigma) const;
+
+  // Eq. 5 for task j alone; mu[j] / sigma[j] must be pre-set to NaN (a task
+  // with no usable data leaves them untouched).
   void sweep_task(const ObservationSet& data,
                   std::span<const DomainIndex> task_domain,
                   const std::vector<std::vector<double>>& expertise, TaskId j,
@@ -119,25 +143,13 @@ class Eta2Mle {
 
   // Gauge-anchoring tail of estimate(): given per-(user, domain) data flags
   // (row-major user_count × domain_count), rescales expertise and σ so the
-  // geometric mean over flagged cells equals anchor_mean. No-op when
-  // anchoring is disabled (anchor_mean <= 0) or no cell is flagged. The
-  // serial log-sum fold order (user-major, domain ascending) is part of the
-  // determinism contract.
+  // geometric mean over flagged cells equals anchor_mean. No-op when no
+  // cell is flagged. The serial log-sum fold order (user-major, domain
+  // ascending) is part of the determinism contract.
   void apply_gauge_anchor(std::span<const char> has_data,
                           std::size_t domain_count,
                           std::vector<std::vector<double>>& expertise,
                           std::vector<double>& sigma) const;
-
- private:
-  // Eq. 5 sweep with validation already done: every observed task's domain
-  // index is in range for every observer's expertise row. estimate() proves
-  // this from its own argument checks; estimate_truth_only() establishes it
-  // with a hoisted pre-pass — either way no throwing validation runs inside
-  // the parallel region (the hot-loop-require lint rule).
-  void truth_sweep(const ObservationSet& data,
-                   std::span<const DomainIndex> task_domain,
-                   const std::vector<std::vector<double>>& expertise,
-                   std::vector<double>& mu, std::vector<double>& sigma) const;
 
   MleOptions options_;
 };

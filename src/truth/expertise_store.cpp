@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/error.h"
+#include "common/parallel.h"
 
 namespace eta2::truth {
 
@@ -194,6 +195,36 @@ ExpertiseStore ExpertiseStore::load(std::istream& in, MleOptions options) {
   return store;
 }
 
+namespace {
+
+// Eq. 7–8 contributions over a user-major index, overwriting c's rows. Each
+// user owns its rows and each (user, domain) cell receives its terms in
+// ascending task order — the serial task-major loop's order — so the sums
+// are bit-identical at any thread count.
+void fill_contributions(const UserMajorObservations& by_user,
+                        std::span<const DomainIndex> task_domain,
+                        std::span<const double> mu,
+                        std::span<const double> sigma, Contributions& c) {
+  parallel::parallel_for(by_user.user_count(), 16, [&](UserId i) {
+    std::vector<double>& num = c.num[i];
+    std::vector<double>& den = c.den[i];
+    std::fill(num.begin(), num.end(), 0.0);
+    std::fill(den.begin(), den.end(), 0.0);
+    for (const UserMajorObservations::Entry& o : by_user.of_user(i)) {
+      const TaskId j = o.task;
+      if (std::isnan(mu[j]) || std::isnan(sigma[j]) || sigma[j] <= 0.0) {
+        continue;
+      }
+      if (!std::isfinite(o.value)) continue;  // corrupt x_ij: no contribution
+      const double e = (o.value - mu[j]) / sigma[j];
+      num[task_domain[j]] += 1.0;
+      den[task_domain[j]] += e * e;
+    }
+  });
+}
+
+}  // namespace
+
 Contributions expertise_contributions(const ObservationSet& data,
                                       std::span<const DomainIndex> task_domain,
                                       std::span<const double> mu,
@@ -204,45 +235,55 @@ Contributions expertise_contributions(const ObservationSet& data,
           "expertise_contributions: task_domain size mismatch");
   require(mu.size() == data.task_count() && sigma.size() == data.task_count(),
           "expertise_contributions: mu/sigma size mismatch");
+  require(data.user_count() <= user_count,
+          "expertise_contributions: user out of range");
+  for (TaskId j = 0; j < data.task_count(); ++j) {
+    if (std::isnan(mu[j]) || std::isnan(sigma[j]) || sigma[j] <= 0.0) continue;
+    require(task_domain[j] < domain_count,
+            "expertise_contributions: domain out of range");
+  }
   Contributions c;
   c.num.assign(user_count, std::vector<double>(domain_count, 0.0));
   c.den.assign(user_count, std::vector<double>(domain_count, 0.0));
-  for (TaskId j = 0; j < data.task_count(); ++j) {
-    if (std::isnan(mu[j]) || std::isnan(sigma[j]) || sigma[j] <= 0.0) continue;
-    const DomainIndex k = task_domain[j];
-    require(k < domain_count, "expertise_contributions: domain out of range");
-    for (const Observation& o : data.for_task(j)) {
-      if (!std::isfinite(o.value)) continue;  // corrupt x_ij: no contribution
-      const double e = (o.value - mu[j]) / sigma[j];
-      c.num[o.user][k] += 1.0;
-      c.den[o.user][k] += e * e;
-    }
-  }
+  fill_contributions(UserMajorObservations(data), task_domain, mu, sigma, c);
   return c;
 }
 
 DynamicUpdateResult dynamic_update(ExpertiseStore& store,
                                    const ObservationSet& new_data,
                                    std::span<const DomainIndex> new_task_domain,
-                                   double alpha, const Eta2Mle& mle) {
+                                   double alpha, const Eta2Mle& mle,
+                                   const ExpertiseView& sweep_view) {
   require(new_data.user_count() == store.user_count(),
           "dynamic_update: user count mismatch");
+  require(new_task_domain.size() == new_data.task_count(),
+          "dynamic_update: task_domain size mismatch");
   const MleOptions& opt = mle.options();
   const std::size_t n = store.user_count();
   const std::size_t domains = store.domain_count();
+  // The one domain-range check: every candidate (and viewed) expertise row
+  // spans all `domains`, so the per-iteration sweeps need no revalidation.
+  for (const DomainIndex k : new_task_domain) {
+    require(k < domains, "dynamic_update: domain out of range");
+  }
+  const UserMajorObservations by_user(new_data);
 
   DynamicUpdateResult result;
   std::vector<std::vector<double>> expertise = store.snapshot();
+  std::vector<std::vector<double>> viewed;
   Contributions contrib;
+  contrib.num.assign(n, std::vector<double>(domains, 0.0));
+  contrib.den.assign(n, std::vector<double>(domains, 0.0));
   std::vector<double> prev_mu;
 
   for (int iter = 1; iter <= opt.max_iterations; ++iter) {
     result.iterations = iter;
     prev_mu = result.mu;
-    mle.estimate_truth_only(new_data, new_task_domain, expertise, result.mu,
-                            result.sigma);
-    contrib = expertise_contributions(new_data, new_task_domain, result.mu,
-                                      result.sigma, n, domains);
+    if (sweep_view) viewed = sweep_view(expertise);
+    mle.truth_sweep(new_data, new_task_domain, sweep_view ? viewed : expertise,
+                    result.mu, result.sigma);
+    fill_contributions(by_user, new_task_domain, result.mu, result.sigma,
+                       contrib);
     // Candidate expertise from decayed history + this iteration's
     // contributions (Eq. 9). The store is only committed once, after
     // convergence, so candidates are evaluated on a scratch copy.

@@ -36,22 +36,6 @@ class ExpertiseStore {
   // u_i^k of Eq. 9, clamped; `initial_expertise` when the pair has no data.
   [[nodiscard]] double expertise(UserId user, DomainIndex domain) const;
 
-  // Turns one (N, D) accumulator pair into the clamped expertise of Eq. 9
-  // exactly as expertise() would (initial_expertise when num <= 0).
-  // Factored out so the sharded dynamic update (truth/sharding.h) can
-  // evaluate per-shard candidate accumulators without materializing a
-  // scratch store copy.
-  [[nodiscard]] double expertise_from(double num, double den) const;
-
-  // Raw accumulator reads for the sharded dynamic update's candidate
-  // evaluation: α·raw + contribution is the Eq. 7–8 candidate.
-  [[nodiscard]] double raw_num(UserId user, DomainIndex domain) const {
-    return num_[user][domain];
-  }
-  [[nodiscard]] double raw_den(UserId user, DomainIndex domain) const {
-    return den_[user][domain];
-  }
-
   // Full matrix snapshot [user][domain] — the MLE warm start.
   [[nodiscard]] std::vector<std::vector<double>> snapshot() const;
 
@@ -94,6 +78,9 @@ class ExpertiseStore {
                                            MleOptions options);
 
  private:
+  // Eq. 9 for one (N, D) accumulator pair (initial_expertise when num <= 0).
+  [[nodiscard]] double expertise_from(double num, double den) const;
+
   MleOptions options_;
   std::size_t domain_count_ = 0;
   Accumulators num_;  // N(u_i^k)
@@ -106,6 +93,8 @@ class ExpertiseStore {
 // Computes the Eq. 7–8 contribution matrices of one batch of tasks: for each
 // (user, domain), add_num counts the user's observations on tasks of that
 // domain and add_den sums (x−μ)²/σ². Tasks with NaN truth are skipped.
+// Fans out over users; each cell still sums its terms in ascending task
+// order, so the matrices are bit-identical at any thread count.
 struct Contributions {
   Accumulators num;
   Accumulators den;
@@ -120,7 +109,11 @@ struct Contributions {
 //   (a) Eq. 5 truth estimation with the current expertise,
 //   (b) Eq. 7–9 candidate expertise from decayed history + new contributions
 // until the truth estimates converge, then commit the decayed accumulators
-// into the store. Returns the new tasks' truth and base numbers.
+// into the store. Returns the new tasks' truth and base numbers. Every
+// new_task_domain[j] must be below store.domain_count(). With a non-empty
+// `sweep_view`, step (a) sees sweep_view(candidate) instead of the candidate
+// (the trust ledger's defended update); contributions and the commit are
+// unchanged.
 struct DynamicUpdateResult {
   std::vector<double> mu;
   std::vector<double> sigma;
@@ -130,7 +123,8 @@ struct DynamicUpdateResult {
 DynamicUpdateResult dynamic_update(ExpertiseStore& store,
                                    const ObservationSet& new_data,
                                    std::span<const DomainIndex> new_task_domain,
-                                   double alpha, const Eta2Mle& mle);
+                                   double alpha, const Eta2Mle& mle,
+                                   const ExpertiseView& sweep_view = {});
 
 }  // namespace eta2::truth
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.h"
 #include "common/error.h"
 
 namespace eta2::truth {
@@ -55,6 +56,28 @@ double ObservationSet::task_stddev(TaskId task) const {
   double sum = 0.0;
   for (const Observation& o : obs) sum += (o.value - m) * (o.value - m);
   return std::sqrt(sum / static_cast<double>(obs.size()));
+}
+
+UserMajorObservations::UserMajorObservations(const ObservationSet& data)
+    : offset_(data.user_count() + 1, 0), entries_(data.total_observations()) {
+  const std::size_t n = data.user_count();
+  const std::size_t m = data.task_count();
+  for (TaskId j = 0; j < m; ++j) {
+    for (const Observation& o : data.for_task(j)) ++offset_[o.user + 1];
+  }
+  for (UserId i = 0; i < n; ++i) offset_[i + 1] += offset_[i];
+  // Filling in ascending task order is what keeps every user's entries
+  // task-ascending.
+  std::vector<std::size_t> cursor(offset_.begin(), offset_.end() - 1);
+  for (TaskId j = 0; j < m; ++j) {
+    for (const Observation& o : data.for_task(j)) {
+      entries_[cursor[o.user]++] = Entry{j, o.value};
+    }
+  }
+  // CSR shape invariants: the prefix sum covers exactly the observation
+  // count and every user's cursor landed on the next user's offset.
+  ETA2_ENSURES(offset_[n] == entries_.size());
+  for (UserId i = 0; i < n; ++i) ETA2_ASSERT(cursor[i] == offset_[i + 1]);
 }
 
 }  // namespace eta2::truth

@@ -49,6 +49,32 @@ class ObservationSet {
   std::size_t total_ = 0;
 };
 
+// User-major (CSR) index of one ObservationSet: of_user(i) lists user i's
+// reports with tasks ascending. A per-user fan-out over this index feeds
+// every (user, domain) accumulator cell its terms in the order a serial
+// task-major loop adds them, so the sums are bit-identical to that loop at
+// any thread count. The Eq. 6 pass of Eta2Mle::estimate and the Eq. 7–8
+// pass of the dynamic update both run over it.
+class UserMajorObservations {
+ public:
+  struct Entry {
+    TaskId task = 0;
+    double value = 0.0;
+  };
+
+  explicit UserMajorObservations(const ObservationSet& data);
+
+  [[nodiscard]] std::size_t user_count() const { return offset_.size() - 1; }
+  [[nodiscard]] std::span<const Entry> of_user(UserId user) const {
+    return {entries_.data() + offset_[user],
+            offset_[user + 1] - offset_[user]};
+  }
+
+ private:
+  std::vector<std::size_t> offset_;  // user → first entry, plus end
+  std::vector<Entry> entries_;
+};
+
 }  // namespace eta2::truth
 
 #endif  // ETA2_TRUTH_OBSERVATION_H

@@ -231,44 +231,11 @@ DynamicUpdateResult TrustLedger::trusted_dynamic_update(
     ExpertiseStore& store, const ObservationSet& data,
     std::span<const DomainIndex> task_domain, double alpha,
     const Eta2Mle& mle) const {
-  require(data.user_count() == store.user_count(),
-          "trusted_dynamic_update: user count mismatch");
-  const MleOptions& opt = mle.options();
-  const std::size_t n = store.user_count();
-  const std::size_t domains = store.domain_count();
-
-  DynamicUpdateResult result;
-  std::vector<std::vector<double>> expertise = store.snapshot();
-  Contributions contrib;
-  std::vector<double> prev_mu;
-
-  for (int iter = 1; iter <= opt.max_iterations; ++iter) {
-    result.iterations = iter;
-    prev_mu = result.mu;
-    // The one deviation from truth::dynamic_update: every truth sweep sees
-    // the capped, trust-weighted expertise instead of the raw estimates.
-    mle.estimate_truth_only(data, task_domain, effective_expertise(expertise),
-                            result.mu, result.sigma);
-    contrib = expertise_contributions(data, task_domain, result.mu,
-                                      result.sigma, n, domains);
-    ExpertiseStore scratch = store;
-    scratch.decay_and_accumulate(alpha, contrib.num, contrib.den);
-    expertise = scratch.snapshot();
-
-    if (!prev_mu.empty() &&
-        truth_converged(prev_mu, result.mu, opt.convergence_threshold)) {
-      result.converged = true;
-      break;
-    }
-  }
-  store.decay_and_accumulate(alpha, contrib.num, contrib.den);
-  if (opt.anchor_mean > 0.0) {
-    const double c = store.anchor(opt.anchor_mean);
-    for (double& s : result.sigma) {
-      if (!std::isnan(s)) s = std::max(opt.sigma_min, s / c);
-    }
-  }
-  return result;
+  return dynamic_update(
+      store, data, task_domain, alpha, mle,
+      [this](const std::vector<std::vector<double>>& expertise) {
+        return effective_expertise(expertise);
+      });
 }
 
 void TrustLedger::quarantine_user(UserId user) {

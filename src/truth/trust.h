@@ -48,7 +48,7 @@
 namespace eta2::truth {
 
 // How far the defended truth path may deviate from the plain Eq. 5/6
-// reference. Versioned exactly like truth::ShardingTier: the default is
+// reference. Versioned like stats::FastMathTier: the default is
 // bit-identical to a defense-free build, every other tier pins its own
 // transcript.
 enum class DefenseTier : int {
@@ -156,11 +156,10 @@ class TrustLedger {
       const std::vector<std::vector<double>>& expertise,
       const Eta2Mle& mle) const;
 
-  // kTrimmedV1 Eq. 5/6: the dynamic update re-run with effective expertise
+  // kTrimmedV1 Eq. 5/6: truth::dynamic_update with effective expertise
   //   eff(i, k) = min(u_i^k, influence_cap) · sqrt(max(trust_i, trust_floor))
-  // in every truth sweep. Structure mirrors truth::dynamic_update —
-  // iterate (truth sweep, candidate accumulators) to convergence on a
-  // scratch store, commit one real decay step, re-anchor the gauge.
+  // as the view every truth sweep sees; contributions, the commit and the
+  // gauge re-anchor are the plain update's.
   [[nodiscard]] DynamicUpdateResult trusted_dynamic_update(
       ExpertiseStore& store, const ObservationSet& data,
       std::span<const DomainIndex> task_domain, double alpha,

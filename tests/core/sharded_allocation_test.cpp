@@ -1,10 +1,8 @@
-// Max-quality allocation inside a sharded step (DESIGN.md §12): the step's
-// shard plan must not change the allocation or the greedy's work counters.
-// MaxQualityStrategy runs the one class-plane engine whether or not the
-// plan is active, so every shard layout has to reproduce the monolithic
-// MaxQualityAllocator exactly — the golden transcripts pin those bytes. The
-// min-cost strategy's capped, allocation-extending greedy rounds must be
-// just as indifferent to the layout.
+// Allocation inside a step: MaxQualityStrategy must reproduce the bare
+// MaxQualityAllocator — allocation and greedy work counters — at 1, 2 and 8
+// threads, and the min-cost strategy's capped, allocation-extending greedy
+// rounds must be just as indifferent to the thread count. The golden
+// transcripts pin the bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +10,7 @@
 #include <vector>
 
 #include "alloc/max_quality.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/allocation_strategies.h"
 #include "core/step_context.h"
@@ -21,7 +20,7 @@
 namespace eta2::core {
 namespace {
 
-constexpr std::size_t kShardCounts[] = {0, 1, 2, 3, 8};
+constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
 struct Batch {
   alloc::AllocationProblem problem;
@@ -54,16 +53,18 @@ Batch random_batch(std::size_t users, std::size_t tasks, std::size_t domains,
   return batch;
 }
 
-// Runs MaxQualityStrategy on `batch` under `config`'s shard layout.
-StepContext allocate_in_step(const Batch& batch, const Eta2Config& config) {
+// Runs MaxQualityStrategy on `batch` at `threads` lanes.
+StepContext allocate_in_step(const Batch& batch, const Eta2Config& config,
+                             std::size_t threads) {
+  parallel::set_thread_count(threads);
   StepContext ctx;
   ctx.config = &config;
   ctx.task_domains = batch.task_domains;
   ctx.domain_count = batch.domain_count;
-  ctx.sharded.partition(ctx.task_domains, ctx.domain_count, config);
   ctx.problem = batch.problem;
   MaxQualityStrategy strategy(config);
   strategy.allocate(ctx);
+  parallel::set_thread_count(0);
   return ctx;
 }
 
@@ -85,17 +86,15 @@ void expect_same_allocation(const alloc::Allocation& a,
 TEST(ShardedGreedyTest, MatchesMonolithicAcrossLayoutsAndSeeds) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Batch batch = random_batch(6, 16, 4, seed, false);
-    Eta2Config monolithic;
-    monolithic.sharded_step = false;
     const alloc::Allocation reference =
-        allocate_in_step(batch, monolithic).allocation;
-    for (const std::size_t shards : kShardCounts) {
-      Eta2Config config;
-      config.shard_count = shards;
-      const StepContext ctx = allocate_in_step(batch, config);
-      ASSERT_TRUE(ctx.sharded.active());
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " shards " << shards);
-      expect_same_allocation(reference, ctx.allocation);
+        alloc::MaxQualityAllocator(alloc::MaxQualityAllocator::Options{})
+            .allocate(batch.problem);
+    const Eta2Config config;
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " threads "
+                                      << threads);
+      expect_same_allocation(reference,
+                             allocate_in_step(batch, config, threads).allocation);
     }
   }
 }
@@ -106,15 +105,15 @@ TEST(ShardedGreedyTest, CountersCoverEveryMonolithicSelection) {
   alloc::GreedyStats mono;
   static_cast<void>(
       alloc::MaxQualityAllocator(options).allocate(batch.problem, &mono));
-  for (const std::size_t shards : kShardCounts) {
-    Eta2Config config;
-    config.shard_count = shards;
-    const StepHealth health = allocate_in_step(batch, config).health;
-    // One engine for every layout: the counters are the monolithic ones
-    // exactly, not merely an upper bound on them.
-    EXPECT_EQ(health.greedy_selections, mono.selections) << shards;
-    EXPECT_EQ(health.greedy_gain_evaluations, mono.gain_evaluations) << shards;
-    EXPECT_EQ(health.greedy_heap_pops, mono.heap_pops) << shards;
+  const Eta2Config config;
+  for (const std::size_t threads : kThreadCounts) {
+    const StepHealth health = allocate_in_step(batch, config, threads).health;
+    // The counters are the bare allocator's exactly, not merely an upper
+    // bound on them.
+    EXPECT_EQ(health.greedy_selections, mono.selections) << threads;
+    EXPECT_EQ(health.greedy_gain_evaluations, mono.gain_evaluations)
+        << threads;
+    EXPECT_EQ(health.greedy_heap_pops, mono.heap_pops) << threads;
   }
 }
 
@@ -142,10 +141,12 @@ struct MinCostRun {
   int data_iterations = 0;
 };
 
-// Runs MinCostStrategy under `config`'s shard layout: Algorithm 2's greedy
-// rounds, each capped at c° and extending the allocation of the rounds
-// before it. Every task costs 1.
-MinCostRun min_cost_in_step(const Eta2Config& config, const CollectFn& collect) {
+// Runs MinCostStrategy at `threads` lanes: Algorithm 2's greedy rounds, each
+// capped at c° and extending the allocation of the rounds before it. Every
+// task costs 1.
+MinCostRun min_cost_in_step(const Eta2Config& config, const CollectFn& collect,
+                            std::size_t threads) {
+  parallel::set_thread_count(threads);
   constexpr std::size_t kUsers = 6;
   constexpr std::size_t kTasks = 12;
   constexpr std::size_t kDomains = 3;
@@ -159,13 +160,13 @@ MinCostRun min_cost_in_step(const Eta2Config& config, const CollectFn& collect) 
   ctx.task_domains.resize(kTasks);
   for (std::size_t j = 0; j < kTasks; ++j) ctx.task_domains[j] = j % kDomains;
   ctx.domain_count = kDomains;
-  ctx.sharded.partition(ctx.task_domains, ctx.domain_count, config);
   store.fill_task_expertise(ctx.task_domains, ctx.problem.expertise);
   Rng rng(17);
   ctx.problem.task_time.resize(kTasks);
   for (double& t : ctx.problem.task_time) t = rng.uniform(0.5, 2.0);
   ctx.problem.user_capacity.assign(kUsers, 6.0);
   MinCostStrategy(config).allocate(ctx);
+  parallel::set_thread_count(0);
   return {ctx.allocation, ctx.observations.total_observations(),
           ctx.data_iterations};
 }
@@ -186,21 +187,17 @@ CollectFn scripted_collect(std::size_t silent_every) {
 
 TEST(ShardedGreedyTest, RespectsCostCapLikeMonolithic) {
   const CollectFn collect = scripted_collect(0);
-  Eta2Config monolithic;
-  monolithic.use_min_cost = true;
-  monolithic.cost_per_iteration = 3.0;
-  monolithic.sharded_step = false;
-  const MinCostRun reference = min_cost_in_step(monolithic, collect);
+  Eta2Config config;
+  config.use_min_cost = true;
+  config.cost_per_iteration = 3.0;
+  const MinCostRun reference = min_cost_in_step(config, collect, 1);
   // The cap binds: several rounds, none adding more than c° of cost.
   ASSERT_GT(reference.data_iterations, 1);
   EXPECT_LE(reference.allocation.total_cost(),
-            monolithic.cost_per_iteration * reference.data_iterations);
-  for (const std::size_t shards : kShardCounts) {
-    Eta2Config config = monolithic;
-    config.sharded_step = true;
-    config.shard_count = shards;
-    const MinCostRun run = min_cost_in_step(config, collect);
-    SCOPED_TRACE(testing::Message() << "shards " << shards);
+            config.cost_per_iteration * reference.data_iterations);
+  for (const std::size_t threads : kThreadCounts) {
+    const MinCostRun run = min_cost_in_step(config, collect, threads);
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
     EXPECT_EQ(run.data_iterations, reference.data_iterations);
     expect_same_allocation(reference.allocation, run.allocation);
   }
@@ -210,19 +207,15 @@ TEST(ShardedGreedyTest, ExtendsPartialAllocationIdentically) {
   // Silent users keep tasks failing the quality check, so later rounds
   // extend an allocation that already holds asked-but-unanswered pairs.
   const CollectFn collect = scripted_collect(3);
-  Eta2Config monolithic;
-  monolithic.use_min_cost = true;
-  monolithic.cost_per_iteration = 4.0;
-  monolithic.sharded_step = false;
-  const MinCostRun reference = min_cost_in_step(monolithic, collect);
+  Eta2Config config;
+  config.use_min_cost = true;
+  config.cost_per_iteration = 4.0;
+  const MinCostRun reference = min_cost_in_step(config, collect, 1);
   ASSERT_GT(reference.data_iterations, 1);
   ASSERT_LT(reference.observations, reference.allocation.pair_count());
-  for (const std::size_t shards : kShardCounts) {
-    Eta2Config config = monolithic;
-    config.sharded_step = true;
-    config.shard_count = shards;
-    const MinCostRun run = min_cost_in_step(config, collect);
-    SCOPED_TRACE(testing::Message() << "shards " << shards);
+  for (const std::size_t threads : kThreadCounts) {
+    const MinCostRun run = min_cost_in_step(config, collect, threads);
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
     EXPECT_EQ(run.data_iterations, reference.data_iterations);
     EXPECT_EQ(run.observations, reference.observations);
     expect_same_allocation(reference.allocation, run.allocation);
@@ -239,9 +232,10 @@ TEST(ShardedMaxQualityTest, MatchesMonolithicAllocator) {
           alloc::MaxQualityAllocator(options).allocate(batch.problem);
       Eta2Config config;
       config.half_approx_pass = half;
-      config.shard_count = 4;
-      expect_same_allocation(reference,
-                             allocate_in_step(batch, config).allocation);
+      for (const std::size_t threads : kThreadCounts) {
+        expect_same_allocation(
+            reference, allocate_in_step(batch, config, threads).allocation);
+      }
     }
   }
 }

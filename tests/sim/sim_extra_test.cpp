@@ -1,13 +1,18 @@
 // The campaign snapshot's extra-block StepHealth serialization
-// (sim/durable_sim.h): v2 round-trips every counter — including the PR 7
-// shard/greedy observability fields — and a pinned v1 block still loads,
-// resuming the newer counters from zero.
+// (sim/durable_sim.h): v2 round-trips every counter — including the
+// domain/iteration/greedy work counters — a pinned v1 block still loads,
+// resuming the newer counters from zero, and the whole extra block of a
+// short default and a short defended campaign is pinned byte for byte.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
+#include "core/durable_runner.h"
 #include "io/snapshot.h"
+#include "sim/dataset.h"
 #include "sim/durable_sim.h"
 
 namespace eta2::sim {
@@ -167,6 +172,93 @@ TEST(SimExtraTest, TruncatedHealthBlockThrows) {
       "120 111 3 2 4 1 5 1 6 1 1 4 250 48 910 333 T 7 3 1");
   EXPECT_THROW((void)read_step_health(trust_short, 2),
                io::CorruptSnapshotError);
+}
+
+
+// FNV-1a over the block bytes: pins the block without embedding it.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+// Runs a short durable campaign in a fresh directory and returns the extra
+// block of its final snapshot (the payload's "extra <bytes>\n<bytes>").
+std::string campaign_extra_block(const Dataset& dataset,
+                                 const SimOptions& options,
+                                 const std::string& name) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / ("eta2_sim_extra_" + name))
+          .string();
+  std::filesystem::remove_all(dir);
+  io::set_durable_fsync(false);
+  core::DurableOptions durable;
+  durable.dir = dir;
+  durable.snapshot_cadence = 2;
+  (void)simulate_durable(dataset, "eta2", options, 4, durable);
+  const std::string payload = io::unwrap_snapshot(io::read_file(
+      dir + "/" + core::DurableRunner::snapshot_file_name()));
+  io::set_durable_fsync(true);
+  std::filesystem::remove_all(dir);
+  const std::size_t key = payload.find("\nextra ");
+  if (key == std::string::npos) return {};
+  const std::size_t size_begin = key + 7;
+  const std::size_t size_end = payload.find('\n', size_begin);
+  const std::size_t bytes =
+      std::stoul(payload.substr(size_begin, size_end - size_begin));
+  return payload.substr(size_end + 1, bytes);
+}
+
+// The aggregate "health ..." line of an extra block.
+std::string health_line(const std::string& extra) {
+  const std::size_t begin = extra.find("\nhealth ");
+  if (begin == std::string::npos) return {};
+  return extra.substr(begin + 1, extra.find('\n', begin + 1) - begin - 1);
+}
+
+Dataset pin_dataset(std::size_t users, std::size_t tasks, int days,
+                    std::uint64_t seed) {
+  SyntheticOptions synthetic;
+  synthetic.users = users;
+  synthetic.tasks = tasks;
+  synthetic.domains = 4;
+  synthetic.days = days;
+  return make_synthetic(synthetic, seed);
+}
+
+TEST(SimExtraTest, DefaultCampaignV2BlockPinned) {
+  // The v2 slots after the fault counters hold the step's domain count
+  // (max over steps) and the summed truth-updater iterations; they, and the
+  // rest of the block, must not drift for a default campaign.
+  const std::string extra =
+      campaign_extra_block(pin_dataset(20, 120, 6, 17), SimOptions{}, "default");
+  ASSERT_FALSE(extra.empty());
+  EXPECT_EQ(health_line(extra),
+            "health 1542 1542 0 0 0 0 0 0 0 0 0 4 22 2558 11291 8237");
+  EXPECT_EQ(fnv1a(extra), 0x38e84681d72a79baULL) << extra;
+}
+
+TEST(SimExtraTest, DefendedCampaignV2BlockPinned) {
+  // kTrimmedV1 under attack: the warm-up step counts its iterations, the
+  // trusted steady-state update adds none, and the trust trailer follows.
+  SimOptions options;
+  options.config.trust.tier = truth::DefenseTier::kTrimmedV1;
+  options.adversary.seed = 47;
+  options.adversary.sybil_fraction = 0.2;
+  options.adversary.clique_count = 1;
+  options.adversary.camouflage_fraction = 0.1;
+  options.adversary.drift_fraction = 0.1;
+  options.adversary.burst_step_rate = 0.3;
+  const std::string extra =
+      campaign_extra_block(pin_dataset(24, 90, 6, 31), options, "defended");
+  ASSERT_FALSE(extra.empty());
+  EXPECT_EQ(health_line(extra),
+            "health 1771 1771 0 0 0 0 0 0 0 0 0 4 9 2933 12137 9116 T 3 0 0 0 "
+            "0 18 8 0 1 4 2 10 5 33 89");
+  EXPECT_EQ(fnv1a(extra), 0x09e222fb408df95aULL) << extra;
 }
 
 }  // namespace

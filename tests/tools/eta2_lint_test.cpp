@@ -380,80 +380,9 @@ TEST_F(LintTreeTest, TestsDirectoryIsNotScanned) {
   EXPECT_TRUE(lint_tree(root_.string()).empty());
 }
 
-// --- shard-shared-mutation ------------------------------------------------
-
-TEST(LintRuleTest, ShardSharedMutationFlagsContextWritesInShardBody) {
-  const auto diagnostics = lint_file(library_file(
-      "void f(StepContext& ctx) {\n"
-      "  truth::for_each_shard(shards, [&](std::size_t s) {\n"
-      "    ctx.mle_iterations = 3;\n"
-      "  });\n"
-      "}\n"));
-  ASSERT_EQ(rules_hit(diagnostics),
-            std::vector<std::string>{"shard-shared-mutation"});
-  EXPECT_EQ(diagnostics[0].line, 3u);
-}
-
-TEST(LintRuleTest, ShardSharedMutationCoversCompoundAndCallMutations) {
-  EXPECT_TRUE(has_rule(lint_file(library_file(
-                  "void f() {\n"
-                  "  for_each_shard(n, [&](std::size_t s) {\n"
-                  "    ctx.health.quality_unmet_tasks += 1;\n"
-                  "  });\n"
-                  "}\n")),
-              "shard-shared-mutation"));
-  EXPECT_TRUE(has_rule(lint_file(library_file(
-                  "void f() {\n"
-                  "  for_each_shard(n, [&](std::size_t s) {\n"
-                  "    ctx->truth.push_back(0.0);\n"
-                  "  });\n"
-                  "}\n")),
-              "shard-shared-mutation"));
-  EXPECT_TRUE(has_rule(lint_file(library_file(
-                  "void f() {\n"
-                  "  for_each_shard(n, [&](std::size_t s) {\n"
-                  "    ++ctx.data_iterations;\n"
-                  "  });\n"
-                  "}\n")),
-              "shard-shared-mutation"));
-}
-
-TEST(LintRuleTest, ShardSharedMutationIgnoresReadsAndLocalState) {
-  // Reads of ctx and writes to shard-local buffers (or disjoint slots of a
-  // stage-owned vector) are the sanctioned pattern.
-  EXPECT_TRUE(lint_file(library_file(
-                  "void f() {\n"
-                  "  for_each_shard(n, [&](std::size_t s) {\n"
-                  "    local[s] = compute(ctx.observations, s);\n"
-                  "    if (ctx.domain_count == 0) return;\n"
-                  "    const double c = ctx.problem.cost_of(s);\n"
-                  "    use(c);\n"
-                  "  });\n"
-                  "}\n"))
-                  .empty());
-  // Mutations outside the shard body are the serial merge — legal.
-  EXPECT_TRUE(lint_file(library_file(
-                  "void f() {\n"
-                  "  for_each_shard(n, [&](std::size_t s) { work(s); });\n"
-                  "  ctx.mle_iterations = merged;\n"
-                  "}\n"))
-                  .empty());
-}
-
-TEST(LintSuppressionTest, ShardSharedMutationSuppressible) {
-  EXPECT_TRUE(lint_file(library_file(
-                  "void f() {\n"
-                  "  for_each_shard(n, [&](std::size_t s) {\n"
-                  "    // eta2-lint: allow(shard-shared-mutation) — guarded\n"
-                  "    ctx.health.shard_count = n;\n"
-                  "  });\n"
-                  "}\n"))
-                  .empty());
-}
-
 TEST(LintCatalogueTest, EveryRuleIsDocumented) {
   const auto& rules = rule_catalogue();
-  ASSERT_EQ(rules.size(), 14u);
+  ASSERT_EQ(rules.size(), 13u);
   for (const auto& rule : rules) {
     EXPECT_FALSE(rule.name.empty());
     EXPECT_FALSE(rule.summary.empty());

@@ -1,8 +1,8 @@
 // eta2_lint v2 tests: the shared tokenizer, the cross-TU concurrency pass
 // (rules guarded-by / lock-order / thread-exception-escape /
 // unbounded-input-resize), the include-graph layer-DAG pass, the CLI
-// stream contract, and the golden fixture tree that pins the nine v1
-// rules across the scrubber -> tokenizer refactor.
+// stream contract, and the golden fixture tree that pins the v1 rules
+// across the scrubber -> tokenizer refactor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -594,7 +594,6 @@ TEST(GoldenTreeTest, NineV1RulesFireExactlyWhereTheyAlwaysDid) {
       {"src/demo/noguard.h", 0, "missing-include-guard"},
       {"src/demo/output.cpp", 1, "library-output"},
       {"src/demo/selfinc.cpp", 1, "self-include-first"},
-      {"src/demo/shard.cpp", 3, "shard-shared-mutation"},
       {"src/demo/unordered.cpp", 4, "unordered-iteration"},
   };
   EXPECT_EQ(got, expected);

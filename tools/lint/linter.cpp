@@ -40,10 +40,6 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "require()/ensure()/throw inside a parallel_for/parallel_reduce body "
        "— hoist validation out of the hot loop; the ETA2_* contract macros "
        "are the sanctioned in-loop checks"},
-      {"shard-shared-mutation",
-       "write to a StepContext member (ctx.*) inside a for_each_shard "
-       "dispatch body — shard bodies may only mutate shard-local state; "
-       "merge into the context serially after the region (DESIGN.md §12)"},
       {"guarded-by",
        "an ETA2_GUARDED_BY(m) member touched without locking m first (and "
        "without ETA2_REQUIRES(m)), or plain mutable state shared with an "
@@ -423,139 +419,6 @@ void check_hot_loop_require(LineContext& context, std::string_view scrubbed) {
   }
 }
 
-// --- shard-shared-mutation ------------------------------------------------
-
-// True when the text following a `ctx.<member chain>` at `chain_end` mutates
-// the chain: plain/compound assignment, ++/--, or a mutating container call
-// on the chain's last member.
-bool chain_mutated(std::string_view body, std::size_t chain_end,
-                   std::string_view last_member) {
-  static constexpr std::string_view kMutatingCalls[] = {
-      "push_back", "emplace_back", "assign",   "resize", "clear",
-      "insert",    "erase",        "pop_back", "reserve", "swap"};
-  std::size_t pos = chain_end;
-  while (pos < body.size() &&
-         (body[pos] == ' ' || body[pos] == '\t' || body[pos] == '\n')) {
-    ++pos;
-  }
-  if (pos >= body.size()) return false;
-  const char c0 = body[pos];
-  const char c1 = pos + 1 < body.size() ? body[pos + 1] : '\0';
-  if (c0 == '=' && c1 != '=') return true;  // plain assignment
-  if (c1 == '=' && (c0 == '+' || c0 == '-' || c0 == '*' || c0 == '/' ||
-                    c0 == '%' || c0 == '&' || c0 == '|' || c0 == '^')) {
-    return true;  // compound assignment
-  }
-  if ((c0 == '+' && c1 == '+') || (c0 == '-' && c1 == '-')) return true;
-  if (c0 == '(') {
-    for (const std::string_view call : kMutatingCalls) {
-      if (last_member == call) return true;
-    }
-  }
-  return false;
-}
-
-// The shard-dispatch analogue of check_hot_loop_require: inside the
-// argument list of a for_each_shard call (i.e. inside the shard body
-// lambda), any mutation of a StepContext member — `ctx.x = ...`,
-// `ctx->health.y += ...`, `++ctx.z`, `ctx.truth.push_back(...)` — races
-// across shards and breaks the deterministic merge contract (DESIGN.md
-// §12). Shard bodies write shard-local state (or disjointly indexed slots
-// of a stage-owned buffer); StepContext merges happen serially afterwards.
-void check_shard_shared_mutation(LineContext& context,
-                                 std::string_view scrubbed) {
-  static constexpr std::string_view kEntry = "for_each_shard";
-  for (std::size_t pos = scrubbed.find(kEntry); pos != std::string_view::npos;
-       pos = scrubbed.find(kEntry, pos + 1)) {
-    if (!word_at(scrubbed, pos, kEntry)) continue;
-    const std::size_t open = scrubbed.find('(', pos + kEntry.size());
-    if (open == std::string_view::npos) continue;
-    const std::string_view gap =
-        scrubbed.substr(pos + kEntry.size(), open - (pos + kEntry.size()));
-    if (gap.find_first_not_of(" \t\n") != std::string_view::npos) continue;
-    std::size_t depth = 1;
-    std::size_t end = open + 1;
-    while (end < scrubbed.size() && depth > 0) {
-      if (scrubbed[end] == '(') ++depth;
-      if (scrubbed[end] == ')') --depth;
-      ++end;
-    }
-    const std::string_view body = scrubbed.substr(open, end - open);
-    static constexpr std::string_view kCtx = "ctx";
-    for (std::size_t hit = body.find(kCtx); hit != std::string_view::npos;
-         hit = body.find(kCtx, hit + 1)) {
-      if (!word_at(body, hit, kCtx)) continue;
-      // Prefix increment/decrement: `++ctx.x` / `--ctx.x`.
-      bool mutated = false;
-      if (hit >= 2 && ((body[hit - 1] == '+' && body[hit - 2] == '+') ||
-                       (body[hit - 1] == '-' && body[hit - 2] == '-'))) {
-        mutated = true;
-      }
-      // Walk the member chain: (.|->) identifier, with optional [..]
-      // subscripts, as long as another member access follows.
-      std::size_t cur = hit + kCtx.size();
-      std::string_view last_member;
-      bool any_member = false;
-      while (cur < body.size()) {
-        std::size_t look = cur;
-        while (look < body.size() &&
-               (body[look] == ' ' || body[look] == '\t' ||
-                body[look] == '\n')) {
-          ++look;
-        }
-        if (look < body.size() && body[look] == '[') {
-          std::size_t brackets = 1;
-          ++look;
-          while (look < body.size() && brackets > 0) {
-            if (body[look] == '[') ++brackets;
-            if (body[look] == ']') --brackets;
-            ++look;
-          }
-          cur = look;
-          continue;
-        }
-        std::size_t member = look;
-        if (look < body.size() && body[look] == '.') {
-          member = look + 1;
-        } else if (look + 1 < body.size() && body[look] == '-' &&
-                   body[look + 1] == '>') {
-          member = look + 2;
-        } else {
-          break;
-        }
-        while (member < body.size() &&
-               (body[member] == ' ' || body[member] == '\t' ||
-                body[member] == '\n')) {
-          ++member;
-        }
-        std::size_t name_end = member;
-        while (name_end < body.size() &&
-               (std::isalnum(static_cast<unsigned char>(body[name_end])) !=
-                    0 ||
-                body[name_end] == '_')) {
-          ++name_end;
-        }
-        if (name_end == member) break;
-        last_member = body.substr(member, name_end - member);
-        any_member = true;
-        cur = name_end;
-      }
-      if (!any_member) continue;  // bare `ctx` (capture list, argument)
-      if (!mutated) mutated = chain_mutated(body, cur, last_member);
-      if (!mutated) continue;
-      const std::size_t line =
-          1 + static_cast<std::size_t>(std::count(
-                  scrubbed.begin(),
-                  scrubbed.begin() + static_cast<std::ptrdiff_t>(open + hit),
-                  '\n'));
-      report(context, line, "shard-shared-mutation",
-             "StepContext member mutated inside a for_each_shard body; "
-             "shard bodies may only write shard-local state — merge into "
-             "the context serially after the region");
-    }
-  }
-}
-
 }  // namespace
 
 namespace {
@@ -597,7 +460,6 @@ std::vector<Diagnostic> lint_one(const SourceFile& file,
   if (!hot_loop_require_allowed(file.path)) {
     check_hot_loop_require(context, scrubbed);
   }
-  check_shard_shared_mutation(context, scrubbed);
 
   std::vector<Diagnostic> concurrency =
       check_concurrency(file, tokenized, annotations);
