@@ -108,10 +108,8 @@ class FaultPlan {
   [[nodiscard]] bool drop_batch();
 
   // Pure decision queries (no stats side effects).
-  // batch_dropped is drop_batch's decision without the stats recording —
-  // the durable runner consults it when (re)deriving a step's effective
-  // batch, while drop_batch() is reserved for the once-per-execution
-  // accounting pass.
+  // batch_dropped is drop_batch's decision without the tally: the campaign
+  // driver derives batches with it and tallies once per execution attempt.
   [[nodiscard]] bool batch_dropped() const;
   [[nodiscard]] bool user_dropped(std::size_t user) const;
   [[nodiscard]] bool embedder_down() const;

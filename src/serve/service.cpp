@@ -216,8 +216,10 @@ Eta2Service::IngestResult Eta2Service::ingest(IngestBatch batch) {
   }
   // Admitted: make it durable, then queue it. The ack below is only sent
   // once the WAL append returned, so an ACCEPTED batch survives kill -9.
-  const std::uint64_t seq = next_ingest_seq_++;
+  // A failed append must not burn a seq: the step loop runs them in order.
+  const std::uint64_t seq = next_ingest_seq_;
   ingest_log_->append(io::RecordType::kServeIngest, seq, payload);
+  ++next_ingest_seq_;
   QueuedBatch item;
   item.seq = seq;
   item.batch = std::move(batch);

@@ -1,18 +1,14 @@
 #include "sim/durable_sim.h"
 
 #include <bit>
-#include <cmath>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/error.h"
 #include "core/eta2_server.h"
 #include "io/snapshot.h"
-#include "text/faulty_embedder.h"
+#include "sim/campaign_driver.h"
 
 namespace eta2::sim {
 namespace {
@@ -30,18 +26,11 @@ void expect_key(std::istream& in, std::string_view key) {
   if (!(in >> token) || token != key) bad_extra(key);
 }
 
-// The per-campaign driver state that must survive a crash: the metric
-// accumulators of SimulationResult plus the fault plan's cumulative
-// injection counters. Serialized (doubles as exact bit patterns) into the
-// `extra` block of every campaign snapshot via the runner's
-// save_extra/load_extra callbacks.
-struct Accumulator {
-  SimulationResult result;
-  double error_sum = 0.0;
-  std::uint64_t error_count = 0;
-};
-
-void save_accumulator(std::ostream& out, const Accumulator& acc,
+// The campaign driver's totals plus the plans' cumulative tallies are the
+// driver state that must survive a crash. Serialized (doubles as exact bit
+// patterns) into the `extra` block of every campaign snapshot via the
+// runner's save_extra/load_extra callbacks.
+void save_accumulator(std::ostream& out, const CampaignTotals& acc,
                       const fault::FaultStats& stats,
                       const fault::AdversaryStats* adversary) {
   const SimulationResult& r = acc.result;
@@ -86,12 +75,9 @@ void save_accumulator(std::ostream& out, const Accumulator& acc,
   }
 }
 
-void load_accumulator(std::istream& in, Accumulator& acc,
+void load_accumulator(std::istream& in, CampaignTotals& acc,
                       fault::FaultStats& stats,
                       fault::AdversaryStats& adversary) {
-  acc = Accumulator{};
-  stats = fault::FaultStats{};
-  adversary = fault::AdversaryStats{};
   SimulationResult& r = acc.result;
   std::string magic;
   std::string version;
@@ -267,111 +253,38 @@ SimulationResult simulate_durable(const Dataset& dataset,
           "simulate_durable: only ETA² methods support durable campaigns");
   core::Eta2Config config = options.config;
   config.allocator = std::string(spec.allocator);
-  if (dataset.has_descriptions) {
-    require(options.embedder != nullptr,
-            "simulate_durable: dataset has descriptions but no embedder "
-            "given");
-  }
-  std::optional<fault::FaultPlan> plan;
-  std::optional<fault::AdversaryPlan> adversary;
-  std::shared_ptr<const text::Embedder> embedder = options.embedder;
-  if (options.fault.any()) {
-    plan.emplace(options.fault);
-    if (embedder != nullptr) embedder = text::wrap_embedder(embedder, &*plan);
-  }
-  if (options.adversary.any()) adversary.emplace(options.adversary);
-
-  Accumulator acc;
-  // The current step's global task ids — set by the driver loop right
-  // before run_step so make_collect/on_step (invoked inside it, including
-  // on replay) see the step's batch mapping.
-  std::vector<std::size_t> current_ids;
+  CampaignDriver driver(dataset, options, /*uses_descriptions=*/true);
   core::DurableRunner* runner_ptr = nullptr;
 
+  // make_collect and on_step run inside run_step (including on replay), on
+  // the day the loop below positioned the driver at.
   core::DurableRunner::Callbacks callbacks;
-  callbacks.make_collect = [&](std::uint64_t step) -> core::CollectFn {
-    // Once per execution attempt: position the fault plan, record the
-    // batch-drop decision (exactly like simulate()'s per-day drop_batch
-    // call), and fork the step's observation stream off the campaign RNG.
-    if (plan) {
-      plan->begin_step(step);
-      (void)plan->drop_batch();
-    }
-    if (adversary) adversary->begin_step(step);
-    auto observe_rng = std::make_shared<Rng>(runner_ptr->rng().fork(step + 1));
-    core::CollectFn collect =
-        [&dataset, &current_ids, observe_rng](
-            std::size_t local, std::size_t user) -> std::optional<double> {
-      return observe(dataset, user, current_ids[local], *observe_rng);
-    };
-    if (adversary) collect = adversary->wrap_collect(std::move(collect));
-    if (plan) collect = plan->wrap_collect(std::move(collect));
-    return collect;
+  callbacks.make_collect = [&](std::uint64_t) {
+    return driver.collect(runner_ptr->rng());
   };
-  callbacks.on_step = [&](std::uint64_t step,
+  callbacks.on_step = [&](std::uint64_t,
                           const core::DurableRunner::StepOutcome& outcome) {
-    DayMetrics metrics;
-    metrics.day = static_cast<int>(step);
-    metrics.task_count = current_ids.size();
     if (outcome.quarantined) {
-      // The batch was abandoned after retries: an empty day with the
-      // quarantine recorded in the health ledger.
-      metrics.estimation_error = std::numeric_limits<double>::quiet_NaN();
-      core::StepHealth ledger;
-      ledger.quarantined_batches = 1;
-      acc.result.truth_iteration_log.push_back(0);
-      acc.result.health.merge(ledger);
-      acc.result.day_health.push_back(ledger);
-      acc.result.days.push_back(std::move(metrics));
-      return;
+      driver.fold_quarantined();
+    } else {
+      driver.fold_step(outcome.result);
     }
-    const core::Eta2Server::StepResult& step_result = outcome.result;
-    metrics.pair_count = step_result.allocation.pair_count();
-    metrics.cost = step_result.cost;
-    metrics.truth_iterations = step_result.mle_iterations;
-    metrics.data_iterations = step_result.data_iterations;
-    metrics.estimation_error =
-        estimation_error(dataset, current_ids, step_result.truth);
-    fill_assignment_stats(dataset, current_ids, step_result.allocation,
-                          metrics);
-    for (std::size_t local = 0; local < current_ids.size(); ++local) {
-      if (std::isnan(step_result.truth[local])) continue;
-      acc.error_sum +=
-          std::fabs(step_result.truth[local] -
-                    dataset.tasks[current_ids[local]].ground_truth) /
-          dataset.tasks[current_ids[local]].base_number;
-      ++acc.error_count;
-    }
-    acc.result.total_cost += step_result.cost;
-    acc.result.truth_iteration_log.push_back(step_result.mle_iterations);
-    acc.result.health.merge(step_result.health);
-    acc.result.day_health.push_back(step_result.health);
-    acc.result.days.push_back(std::move(metrics));
   };
   callbacks.save_extra = [&](std::ostream& out) {
-    save_accumulator(out, acc, plan ? plan->stats() : fault::FaultStats{},
-                     adversary ? &adversary->stats() : nullptr);
+    save_accumulator(out, driver.totals(), driver.fault_stats(),
+                     driver.adversary_stats());
   };
   callbacks.load_extra = [&](std::istream* in) {
+    CampaignTotals totals;
     fault::FaultStats stats;
     fault::AdversaryStats adversary_stats;
-    if (in == nullptr) {
-      acc = Accumulator{};
-    } else {
-      load_accumulator(*in, acc, stats, adversary_stats);
-    }
-    if (plan) plan->restore_stats(stats);
-    if (adversary) adversary->restore_stats(adversary_stats);
+    if (in != nullptr) load_accumulator(*in, totals, stats, adversary_stats);
+    driver.restore(std::move(totals), stats, adversary_stats);
   };
 
-  core::DurableRunner runner(dataset.user_count(), config, embedder, seed,
-                             durable, callbacks);
+  core::DurableRunner runner(dataset.user_count(), config, driver.embedder(),
+                             seed, durable, callbacks);
   runner_ptr = &runner;
-
-  std::vector<double> capacities(dataset.user_count(), 0.0);
-  for (std::size_t i = 0; i < dataset.user_count(); ++i) {
-    capacities[i] = dataset.users[i].capacity;
-  }
 
   const auto days = static_cast<std::uint64_t>(dataset.day_count());
   bool stopped = false;
@@ -386,41 +299,14 @@ SimulationResult simulate_durable(const Dataset& dataset,
     // Step inputs are pure functions of (dataset, options, day) — crash
     // recovery re-derives them identically and the runner verifies them
     // against the journaled BEGIN record.
-    if (plan) plan->begin_step(day);
-    // No adversary->begin_step here: attacks never change the batch, and
-    // begin_step tallies burst steps — it runs once per execution attempt
-    // inside make_collect (transactional via restore_stats on rollback).
-    std::vector<std::size_t> ids = dataset.tasks_of_day(static_cast<int>(day));
-    if (plan && plan->batch_dropped()) ids.clear();  // batch lost upstream
-    std::vector<core::NewTask> batch;
-    batch.reserve(ids.size());
-    for (const std::size_t j : ids) {
-      core::NewTask t;
-      const Task& task = dataset.tasks[j];
-      if (dataset.has_descriptions) {
-        t.description = task.description;
-      } else {
-        t.known_domain = options.collapse_domains ? 0 : task.true_domain;
-      }
-      t.processing_time = task.processing_time;
-      t.cost = task.cost;
-      batch.push_back(std::move(t));
-    }
-    current_ids = std::move(ids);
-    (void)runner.run_step(batch, capacities);
+    driver.begin_day(day);
+    (void)runner.run_step(driver.batch(), driver.capacities());
   }
   // Final snapshot: resuming a finished (or gracefully stopped) campaign
   // replays nothing — the journal and snapshot are fsync'd before return.
   runner.checkpoint();
 
-  SimulationResult result = std::move(acc.result);
-  if (plan) result.fault_stats = plan->stats();
-  if (adversary) result.adversary_stats = adversary->stats();
-  result.overall_error =
-      acc.error_count > 0
-          ? acc.error_sum / static_cast<double>(acc.error_count)
-          : std::numeric_limits<double>::quiet_NaN();
-  result.expertise_mae = expertise_mae(dataset, runner.server());
+  SimulationResult result = driver.finish(&runner.server());
   result.resumed = runner.resumed();
   result.replayed_steps = runner.replayed_steps();
   result.quarantined_steps = runner.quarantined_steps();

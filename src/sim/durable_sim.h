@@ -1,10 +1,12 @@
 // Durable (crash-resumable) variant of the multi-day simulation driver.
 //
 // simulate_durable runs the same campaign simulate() runs for an ETA²
-// method, but through core/durable_runner.h: every step is journaled before
-// it executes, the whole campaign checkpoints every snapshot_cadence steps,
-// and a poisoned step is retried and eventually quarantined instead of
-// aborting the campaign. Killing the process at any instant and calling
+// method, on the same per-day adapter (sim/campaign_driver.h), but executes
+// each day through core/durable_runner.h: every step is journaled before
+// it executes, the whole campaign checkpoints every snapshot_cadence steps
+// (with the adapter's totals in the snapshot's `extra` block), and a
+// poisoned step is retried and eventually quarantined instead of aborting
+// the campaign. Killing the process at any instant and calling
 // simulate_durable again with the same arguments resumes from the newest
 // valid snapshot and produces a SimulationResult bit-identical to an
 // uninterrupted run at any thread count.

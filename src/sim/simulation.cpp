@@ -1,68 +1,15 @@
 #include "sim/simulation.h"
 
 #include <cmath>
-#include <optional>
 #include <string>
 
 #include "common/error.h"
 #include "core/eta2_server.h"
 #include "core/strategy_registry.h"
-#include "text/faulty_embedder.h"
+#include "sim/campaign_driver.h"
 #include "truth/truth_registry.h"
 
 namespace eta2::sim {
-
-void fill_assignment_stats(const Dataset& dataset,
-                           std::span<const std::size_t> task_ids,
-                           const alloc::Allocation& allocation,
-                           DayMetrics& metrics) {
-  metrics.users_per_task.reserve(task_ids.size());
-  metrics.mean_assigned_expertise.reserve(task_ids.size());
-  for (std::size_t local = 0; local < task_ids.size(); ++local) {
-    const auto users = allocation.users_of(local);
-    metrics.users_per_task.push_back(users.size());
-    double sum = 0.0;
-    for (const std::size_t i : users) {
-      sum += dataset.users[i]
-                 .true_expertise[dataset.tasks[task_ids[local]].true_domain];
-    }
-    metrics.mean_assigned_expertise.push_back(
-        users.empty() ? std::numeric_limits<double>::quiet_NaN()
-                      : sum / static_cast<double>(users.size()));
-  }
-}
-
-// Expertise estimation error (synthetic / pre-known domains only). The
-// model identifies expertise only up to a global gauge (see
-// MleOptions::anchor_mean), so estimates are first rescaled by the
-// least-squares gauge factor c* = Σ(û·u)/Σ(û²) before the MAE.
-double expertise_mae(const Dataset& dataset, const core::Eta2Server& server) {
-  if (dataset.has_descriptions) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  std::vector<std::pair<double, double>> pairs;  // (estimated, true)
-  for (std::size_t k = 0; k < dataset.latent_domain_count; ++k) {
-    const auto dense = server.dense_of_external(k);
-    if (!dense.has_value()) continue;
-    for (std::size_t i = 0; i < dataset.user_count(); ++i) {
-      pairs.emplace_back(server.expertise_store().expertise(i, *dense),
-                         dataset.users[i].true_expertise[k]);
-    }
-  }
-  if (pairs.empty()) return std::numeric_limits<double>::quiet_NaN();
-  double num = 0.0;
-  double den = 0.0;
-  for (const auto& [est, tru] : pairs) {
-    num += est * tru;
-    den += est * est;
-  }
-  const double gauge = den > 0.0 ? num / den : 1.0;
-  double mae_sum = 0.0;
-  for (const auto& [est, tru] : pairs) {
-    mae_sum += std::fabs(gauge * est - tru);
-  }
-  return mae_sum / static_cast<double>(pairs.size());
-}
 
 namespace {
 
@@ -71,95 +18,15 @@ SimulationResult simulate_eta2(const Dataset& dataset, const MethodSpec& spec,
   Rng rng(seed);
   core::Eta2Config config = options.config;
   config.allocator = std::string(spec.allocator);
-  if (dataset.has_descriptions) {
-    require(options.embedder != nullptr,
-            "simulate: dataset has descriptions but no embedder given");
+  CampaignDriver driver(dataset, options, /*uses_descriptions=*/true);
+  core::Eta2Server server(dataset.user_count(), config, driver.embedder());
+  for (int day = 0; day < dataset.day_count(); ++day) {
+    driver.begin_day(static_cast<std::uint64_t>(day));
+    const core::CollectFn collect = driver.collect(rng);
+    driver.fold_step(
+        server.step(driver.batch(), driver.capacities(), collect, rng));
   }
-  // Fault plan (clean runs build none — the wrappers never engage, so the
-  // fault-free path is bit-identical to the pre-fault driver).
-  std::optional<fault::FaultPlan> plan;
-  // Adversary plan: wraps the honest collect innermost (attacks at the
-  // source), so fault-plan transport faults see the attacked stream.
-  std::optional<fault::AdversaryPlan> adversary;
-  std::shared_ptr<const text::Embedder> embedder = options.embedder;
-  if (options.fault.any()) {
-    plan.emplace(options.fault);
-    if (embedder != nullptr) embedder = text::wrap_embedder(embedder, &*plan);
-  }
-  if (options.adversary.any()) adversary.emplace(options.adversary);
-  core::Eta2Server server(dataset.user_count(), config, embedder);
-
-  std::vector<double> capacities(dataset.user_count(), 0.0);
-  for (std::size_t i = 0; i < dataset.user_count(); ++i) {
-    capacities[i] = dataset.users[i].capacity;
-  }
-
-  SimulationResult result;
-  double error_sum = 0.0;
-  std::size_t error_count = 0;
-
-  const int days = dataset.day_count();
-  for (int day = 0; day < days; ++day) {
-    if (plan) plan->begin_step(static_cast<std::uint64_t>(day));
-    if (adversary) adversary->begin_step(static_cast<std::uint64_t>(day));
-    std::vector<std::size_t> ids = dataset.tasks_of_day(day);
-    if (plan && plan->drop_batch()) ids.clear();  // batch lost upstream
-    std::vector<core::NewTask> batch;
-    batch.reserve(ids.size());
-    for (const std::size_t j : ids) {
-      core::NewTask t;
-      const Task& task = dataset.tasks[j];
-      if (dataset.has_descriptions) {
-        t.description = task.description;
-      } else {
-        t.known_domain = options.collapse_domains ? 0 : task.true_domain;
-      }
-      t.processing_time = task.processing_time;
-      t.cost = task.cost;
-      batch.push_back(std::move(t));
-    }
-
-    Rng observe_rng = rng.fork(static_cast<std::uint64_t>(day) + 1);
-    core::CollectFn collect =
-        [&](std::size_t local, std::size_t user) -> std::optional<double> {
-      return observe(dataset, user, ids[local], observe_rng);
-    };
-    if (adversary) collect = adversary->wrap_collect(std::move(collect));
-    if (plan) collect = plan->wrap_collect(std::move(collect));
-    const auto step = server.step(batch, capacities, collect, rng);
-
-    DayMetrics metrics;
-    metrics.day = day;
-    metrics.task_count = ids.size();
-    metrics.pair_count = step.allocation.pair_count();
-    metrics.cost = step.cost;
-    metrics.truth_iterations = step.mle_iterations;
-    metrics.data_iterations = step.data_iterations;
-    std::size_t skipped = 0;
-    metrics.estimation_error = estimation_error(dataset, ids, step.truth, &skipped);
-    fill_assignment_stats(dataset, ids, step.allocation, metrics);
-
-    for (std::size_t local = 0; local < ids.size(); ++local) {
-      if (std::isnan(step.truth[local])) continue;
-      error_sum += std::fabs(step.truth[local] -
-                             dataset.tasks[ids[local]].ground_truth) /
-                   dataset.tasks[ids[local]].base_number;
-      ++error_count;
-    }
-    result.total_cost += step.cost;
-    result.truth_iteration_log.push_back(step.mle_iterations);
-    result.health.merge(step.health);
-    result.day_health.push_back(step.health);
-    result.days.push_back(std::move(metrics));
-  }
-  if (plan) result.fault_stats = plan->stats();
-  if (adversary) result.adversary_stats = adversary->stats();
-  result.overall_error =
-      error_count > 0 ? error_sum / static_cast<double>(error_count)
-                      : std::numeric_limits<double>::quiet_NaN();
-
-  result.expertise_mae = expertise_mae(dataset, server);
-  return result;
+  return driver.finish(&server);
 }
 
 SimulationResult simulate_baseline(const Dataset& dataset,
@@ -182,79 +49,44 @@ SimulationResult simulate_baseline(const Dataset& dataset,
       core::make_allocation_strategy(spec.allocator, stage_config);
 
   truth::ObservationSet global(n, m);
-  std::vector<double> reliability(n, 1.0);
   truth::TruthResult latest;
   latest.truth.assign(m, std::numeric_limits<double>::quiet_NaN());
+  latest.reliability.assign(n, 1.0);
 
-  std::optional<fault::FaultPlan> plan;
-  if (options.fault.any()) plan.emplace(options.fault);
-  std::optional<fault::AdversaryPlan> adversary;
-  if (options.adversary.any()) adversary.emplace(options.adversary);
-
-  std::vector<double> capacities(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) capacities[i] = dataset.users[i].capacity;
-
-  SimulationResult result;
-  const int days = dataset.day_count();
-  for (int day = 0; day < days; ++day) {
-    if (plan) plan->begin_step(static_cast<std::uint64_t>(day));
-    if (adversary) adversary->begin_step(static_cast<std::uint64_t>(day));
-    std::vector<std::size_t> ids = dataset.tasks_of_day(day);
-    if (plan && plan->drop_batch()) ids.clear();  // batch lost upstream
+  CampaignDriver driver(dataset, options, /*uses_descriptions=*/false);
+  for (int day = 0; day < dataset.day_count(); ++day) {
+    driver.begin_day(static_cast<std::uint64_t>(day));
+    const std::span<const std::size_t> ids = driver.ids();
 
     core::StepContext ctx;
     ctx.rng = &rng;
-    ctx.user_reliability = reliability;
+    ctx.user_reliability = latest.reliability;
     ctx.problem.expertise.assign(n, ids.size(), 0.0);
-    ctx.problem.user_capacity = capacities;
+    ctx.problem.user_capacity = driver.capacities();
     ctx.problem.task_time.reserve(ids.size());
     ctx.problem.task_cost.reserve(ids.size());
-    for (const std::size_t j : ids) {
-      ctx.problem.task_time.push_back(dataset.tasks[j].processing_time);
-      ctx.problem.task_cost.push_back(dataset.tasks[j].cost);
+    for (const core::NewTask& task : driver.batch()) {
+      ctx.problem.task_time.push_back(task.processing_time);
+      ctx.problem.task_cost.push_back(task.cost);
     }
-
-    core::AllocationStrategy& allocate =
-        day == 0 ? *day0_strategy : *steady_strategy;
-    allocate.allocate(ctx);
+    (day == 0 ? *day0_strategy : *steady_strategy).allocate(ctx);
     const alloc::Allocation& allocation = ctx.allocation;
 
-    Rng observe_rng = rng.fork(static_cast<std::uint64_t>(day) + 1);
-    core::CollectFn collect =
-        [&](std::size_t local, std::size_t user) -> std::optional<double> {
-      return observe(dataset, user, ids[local], observe_rng);
-    };
-    if (adversary) collect = adversary->wrap_collect(std::move(collect));
-    if (plan) collect = plan->wrap_collect(std::move(collect));
     core::StepHealth day_ledger;
-    core::collect_observations(allocation, collect, global, day_ledger,
-                               options.config.observation_abs_limit, ids);
-
-    latest = truth_method->estimate(global);
-    reliability = latest.reliability;
-
-    DayMetrics metrics;
-    metrics.day = day;
-    metrics.task_count = ids.size();
-    metrics.pair_count = allocation.pair_count();
-    metrics.cost = allocation.total_cost();
-    metrics.truth_iterations = latest.iterations;
+    core::collect_observations(allocation, driver.collect(rng), global,
+                               day_ledger, options.config.observation_abs_limit,
+                               ids);
     day_ledger.empty_batch = ids.empty();
-    result.health.merge(day_ledger);
-    result.day_health.push_back(day_ledger);
+    latest = truth_method->estimate(global);
+
     std::vector<double> day_estimates;
     day_estimates.reserve(ids.size());
     for (const std::size_t j : ids) day_estimates.push_back(latest.truth[j]);
-    metrics.estimation_error = estimation_error(dataset, ids, day_estimates);
-    fill_assignment_stats(dataset, ids, allocation, metrics);
-
-    result.total_cost += metrics.cost;
-    result.truth_iteration_log.push_back(latest.iterations);
-    result.days.push_back(std::move(metrics));
+    driver.fold_day(allocation, day_estimates, allocation.total_cost(),
+                    latest.iterations, /*data_iterations=*/1, day_ledger);
   }
 
-  if (plan) result.fault_stats = plan->stats();
-  if (adversary) result.adversary_stats = adversary->stats();
+  SimulationResult result = driver.finish(/*server=*/nullptr);
   // Overall error: final estimate over every task (baselines re-estimate
   // old tasks every day, so the last fit is their best).
   std::vector<std::size_t> all_ids(m);

@@ -1,7 +1,10 @@
 // Multi-day simulation driver: plays a generated Dataset against the ETA²
 // server or one of the comparison approaches, collects per-day metrics, and
 // evaluates estimation errors against the (hidden) ground truth. This is
-// the harness behind every figure of the paper's §6.
+// the harness behind every figure of the paper's §6. Both loops here, and
+// the crash-resumable simulate_durable (sim/durable_sim.h), run on one
+// per-day adapter (sim/campaign_driver.h), so they build batches, inject
+// faults and attacks, and fold metrics identically.
 #ifndef ETA2_SIM_SIMULATION_H
 #define ETA2_SIM_SIMULATION_H
 
@@ -18,10 +21,6 @@
 #include "sim/method_registry.h"
 #include "text/embedder.h"
 #include "truth/baselines.h"
-
-namespace eta2::core {
-class Eta2Server;
-}  // namespace eta2::core
 
 namespace eta2::sim {
 
@@ -42,9 +41,6 @@ struct SimOptions {
   // batch loss, embedder outages, fabricators. All-defaults = clean run;
   // a FaultPlan is built (seeded from fault.seed) only when any() is true,
   // so the fault-free path is bit-identical to a build without this knob.
-  // Replaces the former ad-hoc `response_rate` member (now
-  // fault.response_rate, decided by counter hash instead of the shared
-  // observation RNG).
   fault::FaultOptions fault;
   // Adversarial attacks (common/fault.h): colluding sybil cliques,
   // camouflage workers, expertise drift, review-bombing bursts. Like
@@ -121,20 +117,6 @@ struct SimulationResult {
                                       std::span<const std::size_t> task_ids,
                                       std::span<const double> estimates,
                                       std::size_t* skipped = nullptr);
-
-// Per-day Table-2 style assignment stats: #users per task and the mean TRUE
-// expertise of assigned users in the task's latent domain. Shared by the
-// in-memory and durable drivers.
-void fill_assignment_stats(const Dataset& dataset,
-                           std::span<const std::size_t> task_ids,
-                           const alloc::Allocation& allocation,
-                           DayMetrics& metrics);
-
-// Gauge-corrected expertise MAE of a trained server against the dataset's
-// latent per-(user, domain) expertise (Fig. 11). NaN when unavailable
-// (datasets with descriptions — latent domains unknown to the server).
-[[nodiscard]] double expertise_mae(const Dataset& dataset,
-                                   const core::Eta2Server& server);
 
 }  // namespace eta2::sim
 

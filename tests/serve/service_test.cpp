@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "serve/batch.h"
 
@@ -223,6 +224,29 @@ TEST_F(ServiceTest, ReopenAssignsFreshSequenceNumbers) {
     EXPECT_EQ(service.drain(), 1u);
     service.stop();
   }
+}
+
+TEST_F(ServiceTest, FailedIngestAppendDoesNotBurnSequence) {
+  // A write that fails mid-frame must not consume a sequence number: the
+  // step loop runs batches strictly in seq order, so a gap would halt it at
+  // the next ACCEPTED batch.
+  struct AppendFailed {};
+  auto options = make_options("campaign");
+  int mid_appends = 0;
+  options.crash_hook = [&mid_appends](std::string_view point) {
+    if (point == "ingest-journal-append-mid" && ++mid_appends == 2) {
+      throw AppendFailed{};
+    }
+  };
+  Eta2Service service(std::move(options));
+  EXPECT_EQ(service.ingest(make_batch(1)).seq, 0u);
+  EXPECT_THROW((void)service.ingest(make_batch(2)), AppendFailed);
+  const auto result = service.ingest(make_batch(3));
+  EXPECT_EQ(result.decision, Admission::kAccepted);
+  EXPECT_EQ(result.seq, 1u);
+  EXPECT_EQ(service.drain(), 2u);
+  EXPECT_EQ(service.steps_completed(), 2u);
+  service.stop();
 }
 
 TEST_F(ServiceTest, StopIsIdempotentAndDestructorSafe) {
