@@ -310,9 +310,8 @@ std::vector<Kernel> make_kernels(bool quick) {
           std::vector<double> signature = result.mu;
           signature.insert(signature.end(), result.sigma.begin(),
                            result.sigma.end());
-          for (const auto& row : result.expertise) {
-            signature.insert(signature.end(), row.begin(), row.end());
-          }
+          const auto cells = result.expertise.data();
+          signature.insert(signature.end(), cells.begin(), cells.end());
           return signature;
         },
         {}});

@@ -27,8 +27,8 @@ MinCostAllocator::MinCostAllocator(Options options) : options_(options) {
 MinCostAllocator::Result MinCostAllocator::run(
     const AllocationProblem& problem,
     std::span<const truth::DomainIndex> task_domain, std::size_t domain_count,
-    const std::vector<std::vector<double>>& initial_expertise,
-    const truth::Eta2Mle& mle, const CollectFn& collect) const {
+    const Matrix& initial_expertise, const truth::Eta2Mle& mle,
+    const CollectFn& collect) const {
   problem.validate();
   const std::size_t n = problem.user_count();
   const std::size_t m = problem.task_count();
@@ -47,10 +47,9 @@ MinCostAllocator::Result MinCostAllocator::run(
   // silently.
   ETA2_ENSURES(std::isfinite(required_info) && required_info > 0.0);
 
-  std::vector<std::vector<double>> expertise = initial_expertise;
-  if (expertise.empty()) {
-    expertise.assign(n, std::vector<double>(domain_count,
-                                            mle.options().initial_expertise));
+  Matrix expertise = initial_expertise;
+  if (expertise.rows() == 0) {
+    expertise.assign(n, domain_count, mle.options().initial_expertise);
   }
 
   // Tasks whose quality requirement is already met are excluded from
@@ -107,7 +106,7 @@ MinCostAllocator::Result MinCostAllocator::run(
       const truth::DomainIndex k = task_domain[j];
       double sum = 0.0;
       for (const UserId i : result.allocation.users_of(j)) {
-        const double u = result.truth.expertise[i][k];
+        const double u = result.truth.expertise(i, k);
         sum += u * u;
       }
       info[j] = sum;

@@ -60,12 +60,13 @@ class MinCostAllocator {
   explicit MinCostAllocator(Options options);
 
   // `task_domain[j]` indexes into [0, domain_count); `initial_expertise`
-  // ([user][domain]) seeds the MLE with the expertise learned so far.
+  // (user × domain, or no rows for the flat initial value) seeds the MLE
+  // with the expertise learned so far.
   [[nodiscard]] Result run(
       const AllocationProblem& problem,
       std::span<const truth::DomainIndex> task_domain, std::size_t domain_count,
-      const std::vector<std::vector<double>>& initial_expertise,
-      const truth::Eta2Mle& mle, const CollectFn& collect) const;
+      const Matrix& initial_expertise, const truth::Eta2Mle& mle,
+      const CollectFn& collect) const;
 
  private:
   Options options_;

@@ -1,13 +1,14 @@
 // Dense row-major matrix of doubles — the contiguous data plane shared by
-// the pipeline stages (PR 1 flattened the allocator-internal p_ij buffer;
-// this promotes the same layout to the public AllocationProblem/StepContext
-// API). One allocation, cache-friendly row scans, spans instead of nested
-// vectors.
+// the pipeline stages: the allocators' user × task expertise and p_ij
+// planes, and every user × domain expertise value or Eq. 7–8 accumulator
+// in truth/. One allocation, cache-friendly row scans, spans instead of
+// nested vectors.
 #ifndef ETA2_COMMON_MATRIX_H
 #define ETA2_COMMON_MATRIX_H
 
 #include <cstddef>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -20,7 +21,7 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+      : rows_(rows), cols_(cols), data_(cell_count(rows, cols), fill) {}
 
   // Literal construction for tests/examples: {{1, 2}, {3, 4}}. Every row
   // must have the same length.
@@ -34,27 +35,14 @@ class Matrix {
     }
   }
 
-  // From a nested vector (bridges older call sites; same ragged check).
-  static Matrix from_rows(const std::vector<std::vector<double>>& rows) {
-    Matrix m;
-    m.rows_ = rows.size();
-    m.cols_ = m.rows_ == 0 ? 0 : rows.front().size();
-    m.data_.reserve(m.rows_ * m.cols_);
-    for (const auto& row : rows) {
-      require(row.size() == m.cols_, "Matrix::from_rows: ragged rows");
-      m.data_.insert(m.data_.end(), row.begin(), row.end());
-    }
-    return m;
-  }
-
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] bool empty() const { return data_.empty(); }
 
   void assign(std::size_t rows, std::size_t cols, double fill = 0.0) {
+    data_.assign(cell_count(rows, cols), fill);
     rows_ = rows;
     cols_ = cols;
-    data_.assign(rows * cols, fill);
   }
 
   // Element/row access: bounds are a full-level contract (ETA2_CHECKS=2) —
@@ -81,7 +69,17 @@ class Matrix {
   [[nodiscard]] std::span<double> data() { return data_; }
   [[nodiscard]] std::span<const double> data() const { return data_; }
 
+  // Same shape and cells (IEEE ==: a NaN cell never matches).
+  friend bool operator==(const Matrix&, const Matrix&) = default;
+
  private:
+  // rows * cols; a product that wraps (a corrupt header) is rejected.
+  static std::size_t cell_count(std::size_t rows, std::size_t cols) {
+    require(cols == 0 || rows <= std::numeric_limits<std::size_t>::max() / cols,
+            "Matrix: rows * cols overflows");
+    return rows * cols;
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/matrix.h"
 #include "text/embedder.h"
 #include "truth/eta2_mle.h"
 #include "truth/observation.h"
@@ -27,7 +28,7 @@ struct OneShotResult {
   std::vector<double> sigma;   // per task base numbers
   std::vector<truth::DomainIndex> task_domains;  // dense, [0, domain_count)
   std::size_t domain_count = 0;
-  std::vector<std::vector<double>> expertise;  // [user][domain]
+  Matrix expertise;  // user × domain: expertise(i, k)
   int iterations = 0;
   bool converged = false;
 };

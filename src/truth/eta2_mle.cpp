@@ -25,36 +25,25 @@ Eta2Mle::Eta2Mle(MleOptions options) : options_(options) {
 
 void Eta2Mle::estimate_truth_only(
     const ObservationSet& data, std::span<const DomainIndex> task_domain,
-    const std::vector<std::vector<double>>& expertise, std::vector<double>& mu,
+    const Matrix& expertise, std::vector<double>& mu,
     std::vector<double>& sigma) const {
   const std::size_t m = data.task_count();
   require(task_domain.size() == m, "Eta2Mle: task_domain size mismatch");
-  require(expertise.size() == data.user_count(),
+  require(expertise.rows() == data.user_count(),
           "Eta2Mle: expertise rows != user count");
-  // Hoisted domain-range validation: the same per-observation predicate the
-  // sweep used to require() n×m times from inside the parallel region, now
-  // one deterministic parallel count folded into a single check.
-  const std::size_t bad = parallel::parallel_reduce(
-      m, 128, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t local = 0;
-        for (TaskId j = begin; j < end; ++j) {
-          const DomainIndex k = task_domain[j];
-          for (const Observation& o : data.for_task(j)) {
-            local += k < expertise[o.user].size() ? 0u : 1u;
-          }
-        }
-        return local;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; });
-  require(bad == 0, "Eta2Mle: domain out of range");
+  // Every observer's row has the same columns, so one check per observed
+  // task covers the sweep; unobserved tasks are never read.
+  for (TaskId j = 0; j < m; ++j) {
+    require(data.for_task(j).empty() || task_domain[j] < expertise.cols(),
+            "Eta2Mle: domain out of range");
+  }
   truth_sweep(data, task_domain, expertise, mu, sigma);
 }
 
 void Eta2Mle::sweep_task(const ObservationSet& data,
                          std::span<const DomainIndex> task_domain,
-                         const std::vector<std::vector<double>>& expertise,
-                         TaskId j, std::vector<double>& mu,
+                         const Matrix& expertise, TaskId j,
+                         std::vector<double>& mu,
                          std::vector<double>& sigma) const {
   const auto obs = data.for_task(j);
   if (obs.empty()) return;
@@ -67,7 +56,7 @@ void Eta2Mle::sweep_task(const ObservationSet& data,
   std::size_t finite_count = 0;
   for (const Observation& o : obs) {
     if (!std::isfinite(o.value)) continue;
-    const double u = expertise[o.user][k];
+    const double u = expertise(o.user, k);
     // Eq. 5 weights are u²; a non-positive or non-finite expertise here
     // means an upstream clamp was bypassed.
     ETA2_ASSERT(u > 0.0 && std::isfinite(u));
@@ -82,7 +71,7 @@ void Eta2Mle::sweep_task(const ObservationSet& data,
   double var_num = 0.0;
   for (const Observation& o : obs) {
     if (!std::isfinite(o.value)) continue;
-    const double u = expertise[o.user][k];
+    const double u = expertise(o.user, k);
     var_num += u * u * (o.value - mu_j) * (o.value - mu_j);
   }
   mu[j] = mu_j;
@@ -95,8 +84,7 @@ void Eta2Mle::sweep_task(const ObservationSet& data,
 
 void Eta2Mle::truth_sweep(const ObservationSet& data,
                           std::span<const DomainIndex> task_domain,
-                          const std::vector<std::vector<double>>& expertise,
-                          std::vector<double>& mu,
+                          const Matrix& expertise, std::vector<double>& mu,
                           std::vector<double>& sigma) const {
   const std::size_t m = data.task_count();
   mu.assign(m, kNaN);
@@ -115,22 +103,19 @@ double Eta2Mle::expertise_update(double num, double den) const {
   return std::clamp(u, options_.expertise_min, options_.expertise_max);
 }
 
-std::vector<std::vector<double>> Eta2Mle::initial_expertise_matrix(
-    std::size_t user_count, std::size_t domain_count,
-    const std::vector<std::vector<double>>& initial) const {
-  if (initial.empty()) {
-    return std::vector<std::vector<double>>(
-        user_count, std::vector<double>(domain_count, options_.initial_expertise));
+Matrix Eta2Mle::initial_expertise_matrix(std::size_t user_count,
+                                         std::size_t domain_count,
+                                         const Matrix& initial) const {
+  if (initial.rows() == 0) {
+    return Matrix(user_count, domain_count, options_.initial_expertise);
   }
-  require(initial.size() == user_count,
+  require(initial.rows() == user_count,
           "Eta2Mle: initial expertise rows != user count");
-  std::vector<std::vector<double>> out = initial;
-  for (auto& row : out) {
-    require(row.size() == domain_count,
-            "Eta2Mle: initial expertise cols != domain count");
-    for (double& u : row) {
-      u = std::clamp(u, options_.expertise_min, options_.expertise_max);
-    }
+  require(initial.cols() == domain_count,
+          "Eta2Mle: initial expertise cols != domain count");
+  Matrix out = initial;
+  for (double& u : out.data()) {
+    u = std::clamp(u, options_.expertise_min, options_.expertise_max);
   }
   return out;
 }
@@ -146,23 +131,21 @@ bool truth_converged(std::span<const double> prev_mu,
 }
 
 void Eta2Mle::apply_gauge_anchor(std::span<const char> has_data,
-                                 std::size_t domain_count,
-                                 std::vector<std::vector<double>>& expertise,
+                                 Matrix& expertise,
                                  std::vector<double>& sigma) const {
   if (!(options_.anchor_mean > 0.0)) return;
-  const std::size_t n = expertise.size();
+  const std::span<double> cells = expertise.data();
   const std::size_t m = sigma.size();
-  ETA2_EXPECTS(has_data.size() == n * domain_count);
-  // Serial fold: the log-sum's addition order is part of the determinism
-  // contract (it fixes the gauge constant bit-for-bit).
+  ETA2_EXPECTS(has_data.size() == cells.size());
+  // Serial fold over the row-major cells (user-major, domain ascending):
+  // the log-sum's addition order is part of the determinism contract (it
+  // fixes the gauge constant bit-for-bit).
   double log_sum = 0.0;
   std::size_t count = 0;
-  for (UserId i = 0; i < n; ++i) {
-    for (DomainIndex k = 0; k < domain_count; ++k) {
-      if (has_data[i * domain_count + k]) {
-        log_sum += std::log(expertise[i][k]);
-        ++count;
-      }
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    if (has_data[cell]) {
+      log_sum += std::log(cells[cell]);
+      ++count;
     }
   }
   if (count == 0) return;
@@ -172,13 +155,10 @@ void Eta2Mle::apply_gauge_anchor(std::span<const char> has_data,
   // divided by a positive anchor — if it ever degenerates, rescaling
   // would silently zero or inf-out every expertise estimate.
   ETA2_ENSURES(std::isfinite(c) && c > 0.0);
-  parallel::parallel_for(n, 64, [&](UserId i) {
-    for (DomainIndex k = 0; k < domain_count; ++k) {
-      if (has_data[i * domain_count + k]) {
-        expertise[i][k] = std::clamp(expertise[i][k] / c,
-                                     options_.expertise_min,
-                                     options_.expertise_max);
-      }
+  parallel::parallel_for(cells.size(), 256, [&](std::size_t cell) {
+    if (has_data[cell]) {
+      cells[cell] = std::clamp(cells[cell] / c, options_.expertise_min,
+                               options_.expertise_max);
     }
   });
   parallel::parallel_for(m, 1024, [&](TaskId j) {
@@ -190,8 +170,7 @@ void Eta2Mle::apply_gauge_anchor(std::span<const char> has_data,
 
 MleResult Eta2Mle::estimate(
     const ObservationSet& data, std::span<const DomainIndex> task_domain,
-    std::size_t domain_count,
-    const std::vector<std::vector<double>>& initial_expertise) const {
+    std::size_t domain_count, const Matrix& initial_expertise) const {
   const std::size_t n = data.user_count();
   const std::size_t m = data.task_count();
   require(task_domain.size() == m, "Eta2Mle: task_domain size mismatch");
@@ -208,14 +187,14 @@ MleResult Eta2Mle::estimate(
   const UserMajorObservations by_user(data);
 
   std::vector<double> prev_mu;
-  // estimate()'s own argument checks (task_domain[j] < domain_count, every
-  // expertise row sized domain_count) already prove what the public entry
-  // point's hoisted pre-pass establishes, so the sweeps skip revalidation.
+  // estimate()'s own argument checks (task_domain[j] < domain_count, the
+  // expertise plane domain_count columns wide) already prove what the
+  // public entry point checks, so the sweeps skip revalidation.
   truth_sweep(data, task_domain, result.expertise, result.mu, result.sigma);
 
-  // Flat row-major (user × domain) accumulators, reused across iterations.
-  std::vector<double> num(n * domain_count, 0.0);
-  std::vector<double> den(n * domain_count, 0.0);
+  // Row-major (user × domain) accumulators, reused across iterations.
+  Matrix num(n, domain_count);
+  Matrix den(n, domain_count);
 
   for (int iter = 1; iter <= options_.max_iterations; ++iter) {
     result.iterations = iter;
@@ -223,11 +202,11 @@ MleResult Eta2Mle::estimate(
     // Accumulate per (user, domain): N = #observations, D = Σ (x−μ)²/σ²,
     // then refresh each user's expertise row. One parallel region per user
     // range; every lane writes only its users' rows.
-    std::fill(num.begin(), num.end(), 0.0);
-    std::fill(den.begin(), den.end(), 0.0);
+    std::ranges::fill(num.data(), 0.0);
+    std::ranges::fill(den.data(), 0.0);
     parallel::parallel_for(n, 16, [&](UserId i) {
-      double* num_row = num.data() + i * domain_count;
-      double* den_row = den.data() + i * domain_count;
+      const std::span<double> num_row = num.row(i);
+      const std::span<double> den_row = den.row(i);
       for (const UserMajorObservations::Entry& o : by_user.of_user(i)) {
         const TaskId j = o.task;
         // Skip corrupt values and tasks with no truth estimate (all-corrupt
@@ -245,7 +224,7 @@ MleResult Eta2Mle::estimate(
       }
       for (DomainIndex k = 0; k < domain_count; ++k) {
         if (num_row[k] <= 0.0) continue;  // no data: keep current value
-        result.expertise[i][k] = expertise_update(num_row[k], den_row[k]);
+        result.expertise(i, k) = expertise_update(num_row[k], den_row[k]);
       }
     });
 
@@ -271,7 +250,7 @@ MleResult Eta2Mle::estimate(
         has_data[i * domain_count + task_domain[o.task]] = 1;
       }
     });
-    apply_gauge_anchor(has_data, domain_count, result.expertise, result.sigma);
+    apply_gauge_anchor(has_data, result.expertise, result.sigma);
   }
   return result;
 }

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "common/matrix.h"
 #include "truth/observation.h"
 
 namespace eta2::truth {
@@ -54,9 +55,9 @@ struct MleOptions {
 struct MleResult {
   std::vector<double> mu;     // per task; NaN when the task has no data
   std::vector<double> sigma;  // per task; NaN when the task has no data
-  // expertise[user][domain]; users with no data in a domain keep the
-  // initial value.
-  std::vector<std::vector<double>> expertise;
+  // u_i^k as a row-major user × domain plane: expertise(i, k). Users with
+  // no data in a domain keep the initial value.
+  Matrix expertise;
   int iterations = 0;
   bool converged = false;
 };
@@ -74,10 +75,10 @@ class ExpertiseStore;
 struct DynamicUpdateResult;
 
 // The expertise the dynamic update's Eq. 5 sweeps see, given the candidate
-// expertise matrix [user][domain]. An empty view means the candidate itself;
-// the trust ledger passes its capped, trust-weighted view (truth/trust.h).
-using ExpertiseView = std::function<std::vector<std::vector<double>>(
-    const std::vector<std::vector<double>>&)>;
+// user × domain expertise plane; the view returns a plane of the same
+// shape. An empty view means the candidate itself; the trust ledger passes
+// its capped, trust-weighted view (truth/trust.h).
+using ExpertiseView = std::function<Matrix(const Matrix&)>;
 
 class Eta2Mle {
  public:
@@ -86,21 +87,21 @@ class Eta2Mle {
   [[nodiscard]] const MleOptions& options() const { return options_; }
 
   // Runs the full joint estimation. `task_domain[j]` in [0, domain_count).
-  // `initial_expertise`, when non-empty, seeds u (expertise[user][domain])
-  // instead of the flat initial value — used by the min-cost allocator's
-  // per-round truth refresh and by warm starts.
+  // `initial_expertise`, when it has rows, seeds u (user_count ×
+  // domain_count) instead of the flat initial value — used by the min-cost
+  // allocator's per-round truth refresh and by warm starts.
   [[nodiscard]] MleResult estimate(
       const ObservationSet& data, std::span<const DomainIndex> task_domain,
-      std::size_t domain_count,
-      const std::vector<std::vector<double>>& initial_expertise = {}) const;
+      std::size_t domain_count, const Matrix& initial_expertise = {}) const;
 
   // One fixed-expertise sweep of Eq. 5: computes μ and σ for every task
-  // given frozen expertise values. Used by the trust filter's provisional
-  // truth and by the truth fallback.
+  // given frozen expertise values (user_count rows). Every observed task's
+  // domain must be a column of `expertise`; a task without observations
+  // is not checked and gets NaN μ/σ. Used by the trust filter's
+  // provisional truth and by the truth fallback.
   void estimate_truth_only(const ObservationSet& data,
                            std::span<const DomainIndex> task_domain,
-                           const std::vector<std::vector<double>>& expertise,
-                           std::vector<double>& mu,
+                           const Matrix& expertise, std::vector<double>& mu,
                            std::vector<double>& sigma) const;
 
  private:
@@ -112,22 +113,21 @@ class Eta2Mle {
       const Eta2Mle& mle, const ExpertiseView& sweep_view);
 
   // Eq. 5 sweep with validation already done: every observed task's domain
-  // index is in range for every observer's expertise row. estimate() and
-  // dynamic_update() prove this from their own argument checks;
-  // estimate_truth_only() establishes it with a hoisted pre-pass — either
-  // way no throwing validation runs inside the parallel region (the
-  // hot-loop-require lint rule).
+  // index is a column of `expertise`. estimate() and dynamic_update() prove
+  // this from their own argument checks; estimate_truth_only() checks it
+  // serially up front — either way no throwing validation runs inside the
+  // parallel region (the hot-loop-require lint rule).
   void truth_sweep(const ObservationSet& data,
                    std::span<const DomainIndex> task_domain,
-                   const std::vector<std::vector<double>>& expertise,
-                   std::vector<double>& mu, std::vector<double>& sigma) const;
+                   const Matrix& expertise, std::vector<double>& mu,
+                   std::vector<double>& sigma) const;
 
   // Eq. 5 for task j alone; mu[j] / sigma[j] must be pre-set to NaN (a task
   // with no usable data leaves them untouched).
   void sweep_task(const ObservationSet& data,
                   std::span<const DomainIndex> task_domain,
-                  const std::vector<std::vector<double>>& expertise, TaskId j,
-                  std::vector<double>& mu, std::vector<double>& sigma) const;
+                  const Matrix& expertise, TaskId j, std::vector<double>& mu,
+                  std::vector<double>& sigma) const;
 
   // Eq. 6 refresh of one accumulator cell (N = num, D = den), with the
   // Bayesian shrinkage prior and the [expertise_min, expertise_max] clamp.
@@ -135,20 +135,18 @@ class Eta2Mle {
   [[nodiscard]] double expertise_update(double num, double den) const;
 
   // The expertise seed estimate() starts from: a flat initial_expertise
-  // matrix when `initial` is empty, otherwise a clamped copy of it
+  // plane when `initial` has no rows, otherwise a clamped copy of it
   // (validated against user/domain counts).
-  [[nodiscard]] std::vector<std::vector<double>> initial_expertise_matrix(
-      std::size_t user_count, std::size_t domain_count,
-      const std::vector<std::vector<double>>& initial) const;
+  [[nodiscard]] Matrix initial_expertise_matrix(std::size_t user_count,
+                                                std::size_t domain_count,
+                                                const Matrix& initial) const;
 
   // Gauge-anchoring tail of estimate(): given per-(user, domain) data flags
-  // (row-major user_count × domain_count), rescales expertise and σ so the
+  // (row-major, the shape of `expertise`), rescales expertise and σ so the
   // geometric mean over flagged cells equals anchor_mean. No-op when no
   // cell is flagged. The serial log-sum fold order (user-major, domain
   // ascending) is part of the determinism contract.
-  void apply_gauge_anchor(std::span<const char> has_data,
-                          std::size_t domain_count,
-                          std::vector<std::vector<double>>& expertise,
+  void apply_gauge_anchor(std::span<const char> has_data, Matrix& expertise,
                           std::vector<double>& sigma) const;
 
   MleOptions options_;

@@ -15,12 +15,17 @@
 namespace eta2::truth {
 
 ExpertiseStore::ExpertiseStore(std::size_t user_count, MleOptions options)
-    : options_(options), num_(user_count), den_(user_count) {}
+    : options_(options), num_(user_count, 0), den_(user_count, 0) {}
 
 DomainIndex ExpertiseStore::add_domain() {
-  const DomainIndex idx = domain_count_++;
-  for (auto& row : num_) row.push_back(0.0);
-  for (auto& row : den_) row.push_back(0.0);
+  const DomainIndex idx = domain_count();
+  for (Matrix* plane : {&num_, &den_}) {
+    Matrix wider(plane->rows(), idx + 1);
+    for (UserId i = 0; i < plane->rows(); ++i) {
+      std::ranges::copy(plane->row(i), wider.row(i).begin());
+    }
+    *plane = std::move(wider);
+  }
   return idx;
 }
 
@@ -39,38 +44,50 @@ double ExpertiseStore::expertise_from(double num, double den) const {
 }
 
 double ExpertiseStore::expertise(UserId user, DomainIndex domain) const {
-  require(user < num_.size(), "ExpertiseStore::expertise: user out of range");
-  require(domain < domain_count_, "ExpertiseStore::expertise: domain out of range");
-  return expertise_from(num_[user][domain], den_[user][domain]);
+  require(user < user_count(), "ExpertiseStore::expertise: user out of range");
+  require(domain < domain_count(),
+          "ExpertiseStore::expertise: domain out of range");
+  return expertise_from(num_(user, domain), den_(user, domain));
 }
 
-std::vector<std::vector<double>> ExpertiseStore::snapshot() const {
-  std::vector<std::vector<double>> out(num_.size(),
-                                       std::vector<double>(domain_count_, 0.0));
-  for (UserId i = 0; i < num_.size(); ++i) {
-    for (DomainIndex k = 0; k < domain_count_; ++k) {
-      out[i][k] = expertise(i, k);
-    }
-  }
+Matrix ExpertiseStore::snapshot() const {
+  Matrix out(user_count(), domain_count());
+  std::ranges::transform(
+      num_.data(), den_.data(), out.data().begin(),
+      [this](double num, double den) { return expertise_from(num, den); });
   return out;
+}
+
+void ExpertiseStore::decayed_snapshot(double alpha, const Matrix& add_num,
+                                      const Matrix& add_den,
+                                      Matrix& out) const {
+  check_contribution(alpha, add_num, add_den);
+  out.assign(user_count(), domain_count());
+  for (std::size_t c = 0; c < out.data().size(); ++c) {
+    out.data()[c] = expertise_from(alpha * num_.data()[c] + add_num.data()[c],
+                                   alpha * den_.data()[c] + add_den.data()[c]);
+  }
 }
 
 void ExpertiseStore::fill_task_expertise(
     std::span<const DomainIndex> task_domain, Matrix& out) const {
-  const std::size_t n = user_count();
-  const std::size_t m = task_domain.size();
-  out.assign(n, m);
-  for (UserId i = 0; i < n; ++i) {
-    const std::span<double> row = out.row(i);
-    for (std::size_t j = 0; j < m; ++j) {
-      row[j] = expertise(i, task_domain[j]);
-    }
+  for (const DomainIndex k : task_domain) {
+    require(k < domain_count(),
+            "ExpertiseStore::fill_task_expertise: domain out of range");
+  }
+  const Matrix plane = snapshot();
+  out.assign(user_count(), task_domain.size());
+  for (UserId i = 0; i < user_count(); ++i) {
+    const std::span<const double> from = plane.row(i);
+    const std::span<double> to = out.row(i);
+    for (std::size_t j = 0; j < to.size(); ++j) to[j] = from[task_domain[j]];
   }
 }
 
 std::span<const UserId> ExpertiseStore::top_experts(DomainIndex domain,
                                                     std::size_t k) const {
-  require(domain < domain_count_, "ExpertiseStore::top_experts: domain out of range");
+  require(domain < domain_count(),
+          "ExpertiseStore::top_experts: domain out of range");
   if (rank_scratch_.size() != user_count()) {
     rank_scratch_.resize(user_count());
     std::iota(rank_scratch_.begin(), rank_scratch_.end(), UserId{0});
@@ -90,31 +107,34 @@ std::span<const UserId> ExpertiseStore::top_experts(DomainIndex domain,
   return {rank_scratch_.data(), take};
 }
 
-void ExpertiseStore::decay_and_accumulate(double alpha,
-                                          const Accumulators& add_num,
-                                          const Accumulators& add_den) {
+void ExpertiseStore::check_contribution(double alpha, const Matrix& add_num,
+                                        const Matrix& add_den) const {
   require(alpha >= 0.0 && alpha <= 1.0,
           "ExpertiseStore::decay_and_accumulate: alpha in [0,1]");
-  require(add_num.size() == num_.size() && add_den.size() == den_.size(),
+  require(add_num.rows() == user_count() && add_den.rows() == user_count(),
           "ExpertiseStore::decay_and_accumulate: row count mismatch");
-  for (UserId i = 0; i < num_.size(); ++i) {
-    require(add_num[i].size() == domain_count_ && add_den[i].size() == domain_count_,
-            "ExpertiseStore::decay_and_accumulate: column count mismatch");
-    for (DomainIndex k = 0; k < domain_count_; ++k) {
-      num_[i][k] = alpha * num_[i][k] + add_num[i][k];
-      den_[i][k] = alpha * den_[i][k] + add_den[i][k];
-    }
+  require(add_num.cols() == domain_count() && add_den.cols() == domain_count(),
+          "ExpertiseStore::decay_and_accumulate: column count mismatch");
+}
+
+void ExpertiseStore::decay_and_accumulate(double alpha, const Matrix& add_num,
+                                          const Matrix& add_den) {
+  check_contribution(alpha, add_num, add_den);
+  for (std::size_t c = 0; c < num_.data().size(); ++c) {
+    num_.data()[c] = alpha * num_.data()[c] + add_num.data()[c];
+    den_.data()[c] = alpha * den_.data()[c] + add_den.data()[c];
   }
 }
 
 void ExpertiseStore::merge_domains(DomainIndex kept, DomainIndex absorbed) {
-  require(kept < domain_count_ && absorbed < domain_count_ && kept != absorbed,
+  require(kept < domain_count() && absorbed < domain_count() &&
+              kept != absorbed,
           "ExpertiseStore::merge_domains: bad domain indices");
-  for (UserId i = 0; i < num_.size(); ++i) {
-    num_[i][kept] += num_[i][absorbed];
-    den_[i][kept] += den_[i][absorbed];
-    num_[i][absorbed] = 0.0;
-    den_[i][absorbed] = 0.0;
+  for (UserId i = 0; i < user_count(); ++i) {
+    num_(i, kept) += num_(i, absorbed);
+    den_(i, kept) += den_(i, absorbed);
+    num_(i, absorbed) = 0.0;
+    den_(i, absorbed) = 0.0;
   }
 }
 
@@ -123,14 +143,15 @@ double ExpertiseStore::anchor(double target_mean) {
   // The gauge is multiplicative, so the geometric mean of the (clamped,
   // shrunk) expertise values is the anchored statistic; it is also robust
   // to the heavy upper tail of small-sample estimates.
+  // Row-major cells: user-major, domain ascending — the fold order.
+  const std::span<const double> num = num_.data();
+  const std::span<double> den = den_.data();
   double log_sum = 0.0;
   std::size_t count = 0;
-  for (UserId i = 0; i < num_.size(); ++i) {
-    for (DomainIndex k = 0; k < domain_count_; ++k) {
-      if (num_[i][k] > 0.0) {
-        log_sum += std::log(expertise(i, k));
-        ++count;
-      }
+  for (std::size_t cell = 0; cell < num.size(); ++cell) {
+    if (num[cell] > 0.0) {
+      log_sum += std::log(expertise_from(num[cell], den[cell]));
+      ++count;
     }
   }
   if (count == 0) return 1.0;
@@ -138,9 +159,7 @@ double ExpertiseStore::anchor(double target_mean) {
       std::exp(log_sum / static_cast<double>(count)) / target_mean;
   if (c <= 0.0 || !std::isfinite(c)) return 1.0;
   // u = sqrt(N/D): dividing u by c multiplies D by c².
-  for (auto& row : den_) {
-    for (double& d : row) d *= c * c;
-  }
+  for (double& d : den) d *= c * c;
   ETA2_ENSURES(std::isfinite(c) && c > 0.0);
   return c;
 }
@@ -158,10 +177,11 @@ void write_number(std::ostream& out, double value) {
 
 void ExpertiseStore::save(std::ostream& out) const {
   out << "expertise-store v1\n";
-  out << num_.size() << ' ' << domain_count_ << '\n';
-  for (const Accumulators* matrix : {&num_, &den_}) {
-    for (const auto& row : *matrix) {
-      for (std::size_t k = 0; k < domain_count_; ++k) {
+  out << user_count() << ' ' << domain_count() << '\n';
+  for (const Matrix* plane : {&num_, &den_}) {
+    for (UserId i = 0; i < plane->rows(); ++i) {
+      const std::span<const double> row = plane->row(i);
+      for (std::size_t k = 0; k < row.size(); ++k) {
         if (k > 0) out << ' ';
         write_number(out, row[k]);
       }
@@ -180,16 +200,13 @@ ExpertiseStore ExpertiseStore::load(std::istream& in, MleOptions options) {
   std::size_t domains = 0;
   require(static_cast<bool>(in >> users >> domains),
           "ExpertiseStore::load: bad dimensions");
-  ExpertiseStore store(users, options);
-  store.domain_count_ = domains;
-  store.num_.assign(users, std::vector<double>(domains, 0.0));
-  store.den_.assign(users, std::vector<double>(domains, 0.0));
-  for (Accumulators* matrix : {&store.num_, &store.den_}) {
-    for (auto& row : *matrix) {
-      for (double& cell : row) {
-        require(static_cast<bool>(in >> cell),
-                "ExpertiseStore::load: truncated accumulators");
-      }
+  ExpertiseStore store(0, options);
+  store.num_.assign(users, domains);
+  store.den_.assign(users, domains);
+  for (Matrix* plane : {&store.num_, &store.den_}) {
+    for (double& cell : plane->data()) {
+      require(static_cast<bool>(in >> cell),
+              "ExpertiseStore::load: truncated accumulators");
     }
   }
   return store;
@@ -206,10 +223,10 @@ void fill_contributions(const UserMajorObservations& by_user,
                         std::span<const double> mu,
                         std::span<const double> sigma, Contributions& c) {
   parallel::parallel_for(by_user.user_count(), 16, [&](UserId i) {
-    std::vector<double>& num = c.num[i];
-    std::vector<double>& den = c.den[i];
-    std::fill(num.begin(), num.end(), 0.0);
-    std::fill(den.begin(), den.end(), 0.0);
+    const std::span<double> num = c.num.row(i);
+    const std::span<double> den = c.den.row(i);
+    std::ranges::fill(num, 0.0);
+    std::ranges::fill(den, 0.0);
     for (const UserMajorObservations::Entry& o : by_user.of_user(i)) {
       const TaskId j = o.task;
       if (std::isnan(mu[j]) || std::isnan(sigma[j]) || sigma[j] <= 0.0) {
@@ -242,9 +259,8 @@ Contributions expertise_contributions(const ObservationSet& data,
     require(task_domain[j] < domain_count,
             "expertise_contributions: domain out of range");
   }
-  Contributions c;
-  c.num.assign(user_count, std::vector<double>(domain_count, 0.0));
-  c.den.assign(user_count, std::vector<double>(domain_count, 0.0));
+  Contributions c{Matrix(user_count, domain_count),
+                  Matrix(user_count, domain_count)};
   fill_contributions(UserMajorObservations(data), task_domain, mu, sigma, c);
   return c;
 }
@@ -261,19 +277,17 @@ DynamicUpdateResult dynamic_update(ExpertiseStore& store,
   const MleOptions& opt = mle.options();
   const std::size_t n = store.user_count();
   const std::size_t domains = store.domain_count();
-  // The one domain-range check: every candidate (and viewed) expertise row
-  // spans all `domains`, so the per-iteration sweeps need no revalidation.
+  // The one domain-range check: every candidate (and viewed) expertise plane
+  // has `domains` columns, so the per-iteration sweeps need no revalidation.
   for (const DomainIndex k : new_task_domain) {
     require(k < domains, "dynamic_update: domain out of range");
   }
   const UserMajorObservations by_user(new_data);
 
   DynamicUpdateResult result;
-  std::vector<std::vector<double>> expertise = store.snapshot();
-  std::vector<std::vector<double>> viewed;
-  Contributions contrib;
-  contrib.num.assign(n, std::vector<double>(domains, 0.0));
-  contrib.den.assign(n, std::vector<double>(domains, 0.0));
+  Matrix expertise = store.snapshot();
+  Matrix viewed;
+  Contributions contrib{Matrix(n, domains), Matrix(n, domains)};
   std::vector<double> prev_mu;
 
   for (int iter = 1; iter <= opt.max_iterations; ++iter) {
@@ -286,10 +300,8 @@ DynamicUpdateResult dynamic_update(ExpertiseStore& store,
                        contrib);
     // Candidate expertise from decayed history + this iteration's
     // contributions (Eq. 9). The store is only committed once, after
-    // convergence, so candidates are evaluated on a scratch copy.
-    ExpertiseStore scratch = store;
-    scratch.decay_and_accumulate(alpha, contrib.num, contrib.den);
-    expertise = scratch.snapshot();
+    // convergence, so the candidate is read off its accumulators as is.
+    store.decayed_snapshot(alpha, contrib.num, contrib.den, expertise);
 
     if (!prev_mu.empty() &&
         truth_converged(prev_mu, result.mu, opt.convergence_threshold)) {

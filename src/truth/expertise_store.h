@@ -2,6 +2,8 @@
 // For every (user, domain) pair the store keeps the two accumulators of
 // Eqs. 7–8 — N(u) (count of observations) and D(u) (sum of squared
 // normalized errors) — and exposes the expertise u = sqrt(N / D) of Eq. 9.
+// Accumulators, contributions and snapshots are all row-major Matrix
+// planes, user rows × domain columns: cell (i, k) is user i in domain k.
 // New time steps decay history by α before adding fresh contributions, and
 // domain merges add the absorbed domain's accumulators into the survivor.
 #ifndef ETA2_TRUTH_EXPERTISE_STORE_H
@@ -17,17 +19,14 @@
 
 namespace eta2::truth {
 
-// accumulators[user][domain]
-using Accumulators = std::vector<std::vector<double>>;
-
 class ExpertiseStore {
  public:
   // `options` supplies the clamp range, ridge and initial expertise used to
   // turn accumulators into expertise values (shared with the MLE engine).
   explicit ExpertiseStore(std::size_t user_count, MleOptions options = {});
 
-  [[nodiscard]] std::size_t user_count() const { return num_.size(); }
-  [[nodiscard]] std::size_t domain_count() const { return domain_count_; }
+  [[nodiscard]] std::size_t user_count() const { return num_.rows(); }
+  [[nodiscard]] std::size_t domain_count() const { return num_.cols(); }
 
   // Registers a new dense domain index (returned). Existing users start
   // with empty accumulators (expertise = initial value) in it.
@@ -36,12 +35,18 @@ class ExpertiseStore {
   // u_i^k of Eq. 9, clamped; `initial_expertise` when the pair has no data.
   [[nodiscard]] double expertise(UserId user, DomainIndex domain) const;
 
-  // Full matrix snapshot [user][domain] — the MLE warm start.
-  [[nodiscard]] std::vector<std::vector<double>> snapshot() const;
+  // Eq. 9 on every cell: user_count × domain_count — the MLE warm start.
+  [[nodiscard]] Matrix snapshot() const;
+
+  // Into `out`: the snapshot decay_and_accumulate(alpha, add_num, add_den)
+  // would leave, bit for bit, without touching the accumulators — the
+  // dynamic update's per-iteration candidate.
+  void decayed_snapshot(double alpha, const Matrix& add_num,
+                        const Matrix& add_den, Matrix& out) const;
 
   // Expands domain expertise into per-task columns: out(i, j) =
   // expertise(i, task_domain[j]), reshaping `out` to user_count x |tasks|.
-  // This is the contiguous expertise plane the allocators consume.
+  // Gathered from one snapshot(); the plane the allocators consume.
   void fill_task_expertise(std::span<const DomainIndex> task_domain,
                            Matrix& out) const;
 
@@ -55,8 +60,8 @@ class ExpertiseStore {
   // Eqs. 7–8: accumulators ← α·accumulators + contribution. The contribution
   // matrices must be user_count x domain_count. Pass alpha = 1 to add
   // without decay (used when seeding from the warm-up MLE).
-  void decay_and_accumulate(double alpha, const Accumulators& add_num,
-                            const Accumulators& add_den);
+  void decay_and_accumulate(double alpha, const Matrix& add_num,
+                            const Matrix& add_den);
 
   // Paper §4.2, merged domains: fold `absorbed` into `kept` and reset
   // `absorbed` to the no-data state.
@@ -81,10 +86,12 @@ class ExpertiseStore {
   // Eq. 9 for one (N, D) accumulator pair (initial_expertise when num <= 0).
   [[nodiscard]] double expertise_from(double num, double den) const;
 
+  void check_contribution(double alpha, const Matrix& add_num,
+                          const Matrix& add_den) const;
+
   MleOptions options_;
-  std::size_t domain_count_ = 0;
-  Accumulators num_;  // N(u_i^k)
-  Accumulators den_;  // D(u_i^k)
+  Matrix num_;  // N(u_i^k), user_count × domain_count
+  Matrix den_;  // D(u_i^k), user_count × domain_count
   // Reusable user index for top_experts: always a permutation of
   // [0, user_count), partially re-sorted in place on each call.
   mutable std::vector<UserId> rank_scratch_;
@@ -96,8 +103,8 @@ class ExpertiseStore {
 // Fans out over users; each cell still sums its terms in ascending task
 // order, so the matrices are bit-identical at any thread count.
 struct Contributions {
-  Accumulators num;
-  Accumulators den;
+  Matrix num;  // user_count × domain_count
+  Matrix den;  // user_count × domain_count
 };
 [[nodiscard]] Contributions expertise_contributions(
     const ObservationSet& data, std::span<const DomainIndex> task_domain,

@@ -26,9 +26,9 @@ std::vector<std::optional<stats::Interval>> task_confidence_intervals(
     const DomainIndex k = task_domain[j];
     expertise.clear();
     for (const Observation& o : data.for_task(j)) {
-      require(k < fit.expertise[o.user].size(),
+      require(o.user < fit.expertise.rows() && k < fit.expertise.cols(),
               "task_confidence_intervals: domain out of range");
-      expertise.push_back(fit.expertise[o.user][k]);
+      expertise.push_back(fit.expertise(o.user, k));
     }
     const double info =
         stats::truth_fisher_information(expertise, fit.sigma[j]);

@@ -135,8 +135,7 @@ void TrustLedger::discount_expertise(Matrix& expertise) const {
 
 TrustFilterResult TrustLedger::filter(
     const ObservationSet& raw, std::span<const DomainIndex> task_domain,
-    const std::vector<std::vector<double>>& expertise,
-    const Eta2Mle& mle) const {
+    const Matrix& expertise, const Eta2Mle& mle) const {
   require(raw.user_count() == m2_.size(),
           "TrustLedger::filter: user count mismatch");
   require(task_domain.size() == raw.task_count(),
@@ -180,7 +179,7 @@ TrustFilterResult TrustLedger::filter(
       const double s = std::max(sigma[j], sigma_min);
       const DomainIndex k = task_domain[j];
       for (const Observation& o : obs) {
-        const double u = expertise[o.user][k];
+        const double u = expertise(o.user, k);
         const double z = std::abs((o.value - mu[j]) * u / s);
         if (z > options_.trim_min_z) order.emplace_back(z, o.user);
       }
@@ -214,13 +213,12 @@ TrustFilterResult TrustLedger::filter(
   return result;
 }
 
-std::vector<std::vector<double>> TrustLedger::effective_expertise(
-    const std::vector<std::vector<double>>& expertise) const {
-  std::vector<std::vector<double>> eff = expertise;
-  for (std::size_t u = 0; u < eff.size(); ++u) {
+Matrix TrustLedger::effective_expertise(const Matrix& expertise) const {
+  Matrix eff = expertise;
+  for (std::size_t u = 0; u < eff.rows(); ++u) {
     const double weight =
         std::sqrt(std::max(trust(u), options_.trust_floor));
-    for (double& cell : eff[u]) {
+    for (double& cell : eff.row(u)) {
       cell = std::min(cell, options_.influence_cap) * weight;
     }
   }
@@ -233,7 +231,7 @@ DynamicUpdateResult TrustLedger::trusted_dynamic_update(
     const Eta2Mle& mle) const {
   return dynamic_update(
       store, data, task_domain, alpha, mle,
-      [this](const std::vector<std::vector<double>>& expertise) {
+      [this](const Matrix& expertise) {
         return effective_expertise(expertise);
       });
 }

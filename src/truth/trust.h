@@ -26,6 +26,9 @@
 //    min(u, influence_cap) · sqrt(max(trust, trust_floor)), so no single
 //    identity — however expert it claims to be — can dominate a task.
 //
+// Expertise planes are row-major Matrix: user × domain for the sweeps and
+// the filter, user × task for the allocation discount.
+//
 // Defenses are versioned behind DefenseTier: kOff (the default) leaves
 // every transcript and save blob byte-identical to a ledger-free build;
 // kTrimmedV1 has its own pinned transcript. All ledger updates happen on
@@ -153,8 +156,7 @@ class TrustLedger {
   // ties trim the higher user id first). Deterministic by construction.
   [[nodiscard]] TrustFilterResult filter(
       const ObservationSet& raw, std::span<const DomainIndex> task_domain,
-      const std::vector<std::vector<double>>& expertise,
-      const Eta2Mle& mle) const;
+      const Matrix& expertise, const Eta2Mle& mle) const;
 
   // kTrimmedV1 Eq. 5/6: truth::dynamic_update with effective expertise
   //   eff(i, k) = min(u_i^k, influence_cap) · sqrt(max(trust_i, trust_floor))
@@ -195,8 +197,7 @@ class TrustLedger {
   };
 
   // Effective expertise for the trusted sweeps (see trusted_dynamic_update).
-  [[nodiscard]] std::vector<std::vector<double>> effective_expertise(
-      const std::vector<std::vector<double>>& expertise) const;
+  [[nodiscard]] Matrix effective_expertise(const Matrix& expertise) const;
 
   void quarantine_user(UserId user);
 

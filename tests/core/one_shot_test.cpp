@@ -58,7 +58,7 @@ TEST(OneShotTest, LabeledPathLearnsPerDomainExpertise) {
   // Even users are experts in domain 0, odd users in domain 1.
   for (std::size_t i = 0; i < 8; ++i) {
     const std::size_t strong = i % 2;
-    EXPECT_GT(r.expertise[i][strong], r.expertise[i][1 - strong])
+    EXPECT_GT(r.expertise(i, strong), r.expertise(i, 1 - strong))
         << "user " << i;
   }
 }

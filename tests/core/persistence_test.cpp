@@ -42,6 +42,10 @@ TEST(ExpertiseStorePersistence, RejectsCorruptedInput) {
   std::istringstream truncated("expertise-store v1\n2 2\n1 2\n");
   EXPECT_THROW(truth::ExpertiseStore::load(truncated, truth::MleOptions{}),
                std::invalid_argument);
+  // users × domains wraps to 0 cells in 64 bits: must not load as empty.
+  std::istringstream wrapping("expertise-store v1\n4294967296 4294967296\n");
+  EXPECT_THROW(truth::ExpertiseStore::load(wrapping, truth::MleOptions{}),
+               std::invalid_argument);
 }
 
 TEST(ClustererPersistence, RoundTripContinuesIdentically) {

@@ -123,12 +123,12 @@ truth::ExpertiseStore seeded_store(std::size_t users, std::size_t domains,
   truth::ExpertiseStore store(users);
   for (std::size_t k = 0; k < domains; ++k) static_cast<void>(store.add_domain());
   Rng rng(seed);
-  truth::Accumulators num(users, std::vector<double>(domains, 0.0));
-  truth::Accumulators den = num;
+  Matrix num(users, domains);
+  Matrix den = num;
   for (std::size_t i = 0; i < users; ++i) {
     for (std::size_t k = 0; k < domains; ++k) {
-      num[i][k] = rng.uniform(2.0, 6.0);
-      den[i][k] = rng.uniform(0.5, 8.0);
+      num(i, k) = rng.uniform(2.0, 6.0);
+      den(i, k) = rng.uniform(0.5, 8.0);
     }
   }
   store.decay_and_accumulate(1.0, num, den);

@@ -50,9 +50,8 @@ void check_determinism(Compute&& compute, const char* what) {
 std::vector<double> flatten_mle(const truth::MleResult& result) {
   std::vector<double> flat = result.mu;
   flat.insert(flat.end(), result.sigma.begin(), result.sigma.end());
-  for (const auto& row : result.expertise) {
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
+  const auto cells = result.expertise.data();
+  flat.insert(flat.end(), cells.begin(), cells.end());
   flat.push_back(static_cast<double>(result.iterations));
   return flat;
 }

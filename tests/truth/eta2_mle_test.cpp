@@ -73,7 +73,7 @@ TEST(Eta2MleTest, SingleTaskStartsAtMeanStaysInRange) {
   // First truth-only pass with u = 1 everywhere is exactly the mean.
   std::vector<double> mu;
   std::vector<double> sigma;
-  const std::vector<std::vector<double>> uniform(3, std::vector<double>(1, 1.0));
+  const Matrix uniform(3, 1, 1.0);
   mle.estimate_truth_only(data, domain, uniform, mu, sigma);
   EXPECT_NEAR(mu[0], 5.0, 1e-12);
   // The joint fixed point remains within the observed range.
@@ -113,9 +113,7 @@ TEST(Eta2MleTest, NanObservationsDoNotPoisonEstimates) {
     EXPECT_TRUE(std::isfinite(r.mu[j])) << "task " << j;
     EXPECT_TRUE(std::isfinite(r.sigma[j])) << "task " << j;
   }
-  for (const auto& row : r.expertise) {
-    for (const double u : row) EXPECT_TRUE(std::isfinite(u));
-  }
+  for (const double u : r.expertise.data()) EXPECT_TRUE(std::isfinite(u));
 }
 
 TEST(Eta2MleTest, AllNanTaskStaysNanWithoutPoisoningOthers) {
@@ -136,9 +134,7 @@ TEST(Eta2MleTest, AllNanTaskStaysNanWithoutPoisoningOthers) {
   for (std::size_t j = 1; j < 12; ++j) {
     EXPECT_TRUE(std::isfinite(r.mu[j])) << "task " << j;
   }
-  for (const auto& row : r.expertise) {
-    for (const double u : row) EXPECT_TRUE(std::isfinite(u));
-  }
+  for (const double u : r.expertise.data()) EXPECT_TRUE(std::isfinite(u));
 }
 
 TEST(Eta2MleTest, RecoverseTruthBetterThanMean) {
@@ -166,7 +162,7 @@ TEST(Eta2MleTest, ExpertiseOrderingIsRecovered) {
   for (std::size_t a = 0; a < 12; ++a) {
     for (std::size_t b = a + 1; b < 12; ++b) {
       const double dt = m.expertise[a][0] - m.expertise[b][0];
-      const double de = r.expertise[a][0] - r.expertise[b][0];
+      const double de = r.expertise(a, 0) - r.expertise(b, 0);
       if (dt * de > 0) {
         ++concordant;
       } else if (dt * de < 0) {
@@ -187,7 +183,7 @@ TEST(Eta2MleTest, GaugeAnchorPinsGeometricMean) {
   int count = 0;
   for (std::size_t i = 0; i < 10; ++i) {
     for (std::size_t k = 0; k < 2; ++k) {
-      log_sum += std::log(r.expertise[i][k]);
+      log_sum += std::log(r.expertise(i, k));
       ++count;
     }
   }
@@ -199,11 +195,9 @@ TEST(Eta2MleTest, TruthInvariantUnderInitialExpertiseScale) {
   // The truth estimate must not depend on the gauge of the warm start.
   const Model m = make_model(10, 40, 2, /*seed=*/11);
   const Eta2Mle mle;
-  std::vector<std::vector<double>> init(10, std::vector<double>(2, 1.0));
+  Matrix init(10, 2, 1.0);
   const MleResult a = mle.estimate(m.data, m.domain, 2, init);
-  for (auto& row : init) {
-    for (double& u : row) u = 3.0;
-  }
+  for (double& u : init.data()) u = 3.0;
   const MleResult b = mle.estimate(m.data, m.domain, 2, init);
   for (std::size_t j = 0; j < m.mu.size(); ++j) {
     EXPECT_NEAR(a.mu[j], b.mu[j], 0.05 * (std::fabs(a.mu[j]) + 1.0));
@@ -224,8 +218,8 @@ TEST(Eta2MleTest, ExpertiseIsClamped) {
   const std::vector<DomainIndex> domain{0, 0};
   const MleResult r = mle.estimate(data, domain, 1);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_LE(r.expertise[i][0], 4.0);
-    EXPECT_GE(r.expertise[i][0], options.expertise_min);
+    EXPECT_LE(r.expertise(i, 0), 4.0);
+    EXPECT_GE(r.expertise(i, 0), options.expertise_min);
   }
 }
 
@@ -253,7 +247,7 @@ TEST(Eta2MleTest, EstimateTruthOnlyMatchesClosedForm) {
   ObservationSet data(2, 1);
   data.add(0, 0, 10.0);
   data.add(0, 1, 20.0);
-  std::vector<std::vector<double>> expertise = {{2.0}, {1.0}};
+  const Matrix expertise = {{2.0}, {1.0}};
   const Eta2Mle mle;
   std::vector<double> mu;
   std::vector<double> sigma;
@@ -262,6 +256,34 @@ TEST(Eta2MleTest, EstimateTruthOnlyMatchesClosedForm) {
   // μ = (4·10 + 1·20)/5 = 12; σ² = (4·4 + 1·64)/2 = 40
   EXPECT_NEAR(mu[0], 12.0, 1e-12);
   EXPECT_NEAR(sigma[0], std::sqrt(40.0), 1e-12);
+}
+
+TEST(Eta2MleTest, EstimateTruthOnlyChecksObservedTasksOnly) {
+  // One expertise column; task 1 is labelled with domain 7.
+  const Eta2Mle mle;
+  const std::vector<DomainIndex> domain{0, 7};
+  std::vector<double> mu;
+  std::vector<double> sigma;
+
+  // Observed out-of-range task: rejected.
+  ObservationSet observed(2, 2);
+  observed.add(0, 0, 10.0);
+  observed.add(0, 1, 20.0);
+  observed.add(1, 0, 5.0);
+  EXPECT_THROW(mle.estimate_truth_only(observed, domain, {{2.0}, {1.0}}, mu,
+                                       sigma),
+               std::invalid_argument);
+
+  // Unobserved out-of-range task: accepted, its μ/σ stay NaN.
+  ObservationSet unobserved(2, 2);
+  unobserved.add(0, 0, 10.0);
+  unobserved.add(0, 1, 20.0);
+  mle.estimate_truth_only(unobserved, domain, {{2.0}, {1.0}}, mu, sigma);
+  ASSERT_EQ(mu.size(), 2u);
+  EXPECT_NEAR(mu[0], 12.0, 1e-12);
+  EXPECT_NEAR(sigma[0], std::sqrt(40.0), 1e-12);
+  EXPECT_TRUE(std::isnan(mu[1]));
+  EXPECT_TRUE(std::isnan(sigma[1]));
 }
 
 // Property sweep: the shrinkage prior pulls small-sample expertise toward
@@ -278,11 +300,11 @@ TEST_P(PriorStrengthSweep, StrongerPriorShrinksSpread) {
   const MleResult r = mle.estimate(m.data, m.domain, 1);
   // Spread of log-expertise across users.
   double log_sum = 0.0;
-  for (std::size_t i = 0; i < 10; ++i) log_sum += std::log(r.expertise[i][0]);
+  for (std::size_t i = 0; i < 10; ++i) log_sum += std::log(r.expertise(i, 0));
   const double log_mean = log_sum / 10.0;
   double var = 0.0;
   for (std::size_t i = 0; i < 10; ++i) {
-    const double dv = std::log(r.expertise[i][0]) - log_mean;
+    const double dv = std::log(r.expertise(i, 0)) - log_mean;
     var += dv * dv;
   }
   // Record into a shared map keyed by prior; the comparison test below
@@ -311,11 +333,11 @@ TEST(Eta2MleTest, PriorShrinkageIsMonotone) {
     const Eta2Mle mle(options);
     const MleResult r = mle.estimate(m.data, m.domain, 1);
     double log_sum = 0.0;
-    for (std::size_t i = 0; i < 10; ++i) log_sum += std::log(r.expertise[i][0]);
+    for (std::size_t i = 0; i < 10; ++i) log_sum += std::log(r.expertise(i, 0));
     const double log_mean = log_sum / 10.0;
     double var = 0.0;
     for (std::size_t i = 0; i < 10; ++i) {
-      const double dv = std::log(r.expertise[i][0]) - log_mean;
+      const double dv = std::log(r.expertise(i, 0)) - log_mean;
       var += dv * dv;
     }
     EXPECT_LE(var, prev_spread * 1.05) << "prior " << prior;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
 #include "common/rng.h"
@@ -36,8 +37,8 @@ TEST(ExpertiseStoreTest, AccumulateComputesEq9) {
   ExpertiseStore store(1, no_prior_options());
   store.add_domain();
   // N=4 observations with total squared normalized error 1.0 => u = 2.
-  Accumulators num{{4.0}};
-  Accumulators den{{1.0}};
+  const Matrix num{{4.0}};
+  const Matrix den{{1.0}};
   store.decay_and_accumulate(1.0, num, den);
   EXPECT_NEAR(store.expertise(0, 0), 2.0, 1e-6);
 }
@@ -107,10 +108,10 @@ TEST(ExpertiseStoreTest, SnapshotMatchesExpertise) {
   store.decay_and_accumulate(1.0, {{4.0, 0.0}, {1.0, 2.0}},
                              {{1.0, 0.0}, {4.0, 1.0}});
   const auto snap = store.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
+  ASSERT_EQ(snap.rows(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     for (std::size_t k = 0; k < 2; ++k) {
-      EXPECT_DOUBLE_EQ(snap[i][k], store.expertise(i, k));
+      EXPECT_DOUBLE_EQ(snap(i, k), store.expertise(i, k));
     }
   }
 }
@@ -145,6 +146,35 @@ TEST(ExpertiseStoreTest, RejectsShapeMismatches) {
   EXPECT_THROW(store.expertise(0, 1), std::invalid_argument);
 }
 
+TEST(ExpertiseStoreTest, GrowAfterLoadKeepsSaveBytes) {
+  // A column added after a load must land in the same place of the save
+  // blob as one added before it; the bytes below pin both saves.
+  ExpertiseStore store(3, MleOptions{});
+  store.add_domain();
+  store.add_domain();
+  store.decay_and_accumulate(1.0, {{4.0, 1.0}, {2.0, 0.0}, {3.0, 5.0}},
+                             {{1.0, 0.5}, {8.0, 0.0}, {0.25, 2.0}});
+  std::stringstream first;
+  store.save(first);
+  EXPECT_EQ(first.str(),
+            "expertise-store v1\n3 2\n4 1\n2 0\n3 5\n1 0.5\n8 0\n0.25 2\n");
+
+  ExpertiseStore loaded = ExpertiseStore::load(first, MleOptions{});
+  EXPECT_EQ(loaded.add_domain(), 2u);
+  loaded.decay_and_accumulate(
+      0.5, {{1.0, 0.0, 2.0}, {0.0, 3.0, 1.0}, {2.0, 2.0, 0.0}},
+      {{0.5, 0.0, 1.0}, {0.0, 0.75, 4.0}, {1.0, 3.0, 0.0}});
+  loaded.merge_domains(2, 1);
+  loaded.anchor(1.0);
+  std::ostringstream second;
+  loaded.save(second);
+  EXPECT_EQ(second.str(),
+            "expertise-store v1\n3 3\n3 0 2.5\n1 0 4\n3.5 0 4.5\n"
+            "1.166596464970253 0 1.458245581212816\n"
+            "4.666385859881012 0 5.541333208608702\n"
+            "1.3124210230915345 0 4.666385859881012\n");
+}
+
 TEST(ContributionsTest, CountsAndErrors) {
   ObservationSet data(2, 2);
   data.add(0, 0, 12.0);  // μ=10, σ=2 => e=1
@@ -155,13 +185,13 @@ TEST(ContributionsTest, CountsAndErrors) {
   const std::vector<double> sigma{2.0, 3.0};
   const Contributions c =
       expertise_contributions(data, domain, mu, sigma, 2, 2);
-  EXPECT_DOUBLE_EQ(c.num[0][0], 1.0);
-  EXPECT_DOUBLE_EQ(c.den[0][0], 1.0);
-  EXPECT_DOUBLE_EQ(c.num[1][0], 1.0);
-  EXPECT_DOUBLE_EQ(c.den[1][0], 0.0);
-  EXPECT_DOUBLE_EQ(c.num[0][1], 1.0);
-  EXPECT_DOUBLE_EQ(c.den[0][1], 4.0);
-  EXPECT_DOUBLE_EQ(c.num[1][1], 0.0);
+  EXPECT_DOUBLE_EQ(c.num(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(c.den(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(c.num(1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(c.den(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(c.num(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(c.den(0, 1), 4.0);
+  EXPECT_DOUBLE_EQ(c.num(1, 1), 0.0);
 }
 
 TEST(ContributionsTest, SkipsNaNTruth) {
@@ -172,7 +202,7 @@ TEST(ContributionsTest, SkipsNaNTruth) {
   const std::vector<double> sigma{1.0};
   const Contributions c =
       expertise_contributions(data, domain, mu, sigma, 1, 1);
-  EXPECT_DOUBLE_EQ(c.num[0][0], 0.0);
+  EXPECT_DOUBLE_EQ(c.num(0, 0), 0.0);
 }
 
 TEST(DynamicUpdateTest, LearnsExpertiseFromNewTasks) {
@@ -213,9 +243,9 @@ TEST(DynamicUpdateTest, DecayShiftsTowardRecentBehavior) {
     const std::size_t users = 6;
     ExpertiseStore store(users, MleOptions{});
     store.add_domain();
-    Accumulators num(users, std::vector<double>(1, 10.0));
-    Accumulators den(users, std::vector<double>(1, 10.0));  // steady u = 1
-    den[0][0] = 90.0;  // user 0 was bad: u = sqrt(11/91) with the prior
+    const Matrix num(users, 1, 10.0);
+    Matrix den(users, 1, 10.0);  // steady u = 1
+    den(0, 0) = 90.0;  // user 0 was bad: u = sqrt(11/91) with the prior
     store.decay_and_accumulate(1.0, num, den);
     const double before = store.expertise(0, 0);
     // New day: user 0 is now the most precise reporter.

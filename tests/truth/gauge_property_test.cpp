@@ -50,10 +50,10 @@ TEST_P(GaugeSweep, DataScaleEquivariance) {
     EXPECT_NEAR(r2.sigma[j], c * r1.sigma[j],
                 1e-6 * (std::fabs(c * r1.sigma[j]) + 1.0));
   }
-  for (std::size_t i = 0; i < r1.expertise.size(); ++i) {
+  for (std::size_t i = 0; i < r1.expertise.rows(); ++i) {
     for (std::size_t k = 0; k < 3; ++k) {
-      EXPECT_NEAR(r2.expertise[i][k], r1.expertise[i][k],
-                  1e-6 * (r1.expertise[i][k] + 1.0));
+      EXPECT_NEAR(r2.expertise(i, k), r1.expertise(i, k),
+                  1e-6 * (r1.expertise(i, k) + 1.0));
     }
   }
 }
@@ -82,10 +82,10 @@ TEST(GaugeTest, DataShiftApproximatelyMovesOnlyTruth) {
   // relative stopping rule fired; only the ordering is stable. Check that
   // the user ranking within each domain is preserved.
   for (std::size_t k = 0; k < 3; ++k) {
-    for (std::size_t a = 0; a < r1.expertise.size(); ++a) {
-      for (std::size_t b = a + 1; b < r1.expertise.size(); ++b) {
-        const double d1 = r1.expertise[a][k] - r1.expertise[b][k];
-        const double d2 = r2.expertise[a][k] - r2.expertise[b][k];
+    for (std::size_t a = 0; a < r1.expertise.rows(); ++a) {
+      for (std::size_t b = a + 1; b < r1.expertise.rows(); ++b) {
+        const double d1 = r1.expertise(a, k) - r1.expertise(b, k);
+        const double d2 = r2.expertise(a, k) - r2.expertise(b, k);
         if (std::fabs(d1) > 0.7) {
           EXPECT_GT(d1 * d2, 0.0) << "rank flip: users " << a << "," << b
                                   << " domain " << k;

@@ -25,6 +25,24 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 using Grid = std::vector<std::vector<double>>;
 
+// Boundary conversions: the oracle keeps its own nested grids and meets the
+// library's row-major planes only here.
+Grid to_grid(const Matrix& m) {
+  Grid g(m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    g[i].assign(m.row(i).begin(), m.row(i).end());
+  }
+  return g;
+}
+
+Matrix to_matrix(const Grid& g) {
+  Matrix m(g.size(), g.empty() ? 0 : g.front().size());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    std::copy(g[i].begin(), g[i].end(), m.row(i).begin());
+  }
+  return m;
+}
+
 struct Model {
   std::vector<DomainIndex> domain;
   ObservationSet data{0, 0};
@@ -97,11 +115,20 @@ bool serial_converged(const std::vector<double>& prev,
   return true;
 }
 
-MleResult serial_estimate(const MleOptions& opt, const ObservationSet& data,
+// MleResult with the oracle's nested expertise grid.
+struct OracleFit {
+  std::vector<double> mu;
+  std::vector<double> sigma;
+  Grid expertise;
+  int iterations = 0;
+  bool converged = false;
+};
+
+OracleFit serial_estimate(const MleOptions& opt, const ObservationSet& data,
                           const std::vector<DomainIndex>& domain,
                           std::size_t domains) {
   const std::size_t n = data.user_count();
-  MleResult r;
+  OracleFit r;
   r.expertise.assign(n, std::vector<double>(domains, opt.initial_expertise));
   serial_sweep(opt, data, domain, r.expertise, r.mu, r.sigma);
   for (int iter = 1; iter <= opt.max_iterations; ++iter) {
@@ -172,9 +199,9 @@ DynamicUpdateResult serial_dynamic_update(
   const std::size_t n = store.user_count();
   const std::size_t domains = store.domain_count();
   DynamicUpdateResult r;
-  Grid expertise = store.snapshot();
-  Accumulators num;
-  Accumulators den;
+  Grid expertise = to_grid(store.snapshot());
+  Grid num;
+  Grid den;
   std::vector<double> prev;
   for (int iter = 1; iter <= opt.max_iterations; ++iter) {
     r.iterations = iter;
@@ -194,15 +221,15 @@ DynamicUpdateResult serial_dynamic_update(
       }
     }
     ExpertiseStore scratch = store;
-    scratch.decay_and_accumulate(alpha, num, den);
-    expertise = scratch.snapshot();
+    scratch.decay_and_accumulate(alpha, to_matrix(num), to_matrix(den));
+    expertise = to_grid(scratch.snapshot());
     if (!prev.empty() &&
         serial_converged(prev, r.mu, opt.convergence_threshold)) {
       r.converged = true;
       break;
     }
   }
-  store.decay_and_accumulate(alpha, num, den);
+  store.decay_and_accumulate(alpha, to_matrix(num), to_matrix(den));
   const double c = store.anchor(opt.anchor_mean);
   for (double& s : r.sigma) {
     if (!std::isnan(s)) s = std::max(opt.sigma_min, s / c);
@@ -236,7 +263,8 @@ TEST(ShardedEstimateTest, ExactTierBitIdenticalToMonolithic) {
   const Eta2Mle mle;
   for (const Shape shape : kShapes) {
     const Model m = make_model(shape.users, shape.tasks, 5, 17);
-    const MleResult oracle = serial_estimate(mle.options(), m.data, m.domain, 5);
+    const OracleFit oracle =
+        serial_estimate(mle.options(), m.data, m.domain, 5);
     for (const std::size_t threads : kThreadCounts) {
       SCOPED_TRACE(testing::Message() << "users " << shape.users
                                       << " threads " << threads);
@@ -245,7 +273,7 @@ TEST(ShardedEstimateTest, ExactTierBitIdenticalToMonolithic) {
       parallel::set_thread_count(0);
       expect_bitwise(oracle.mu, fit.mu, "mu");
       expect_bitwise(oracle.sigma, fit.sigma, "sigma");
-      expect_bitwise(oracle.expertise, fit.expertise, "expertise");
+      expect_bitwise(oracle.expertise, to_grid(fit.expertise), "expertise");
       EXPECT_EQ(oracle.iterations, fit.iterations);
       EXPECT_EQ(oracle.converged, fit.converged);
     }
@@ -280,7 +308,8 @@ TEST(ShardedDynamicUpdateTest, ExactTierBitIdenticalToMonolithic) {
       expect_bitwise(oracle.sigma, update.sigma, "sigma");
       EXPECT_EQ(oracle.iterations, update.iterations);
       EXPECT_EQ(oracle.converged, update.converged);
-      expect_bitwise(oracle_store.snapshot(), store.snapshot(), "store");
+      expect_bitwise(to_grid(oracle_store.snapshot()),
+                     to_grid(store.snapshot()), "store");
     }
   }
 }
