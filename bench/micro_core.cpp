@@ -1,23 +1,18 @@
-// Perf-smoke harness + micro-benchmarks of the library's hot paths.
+// Perf-smoke harness: micro-benchmarks of the kernels behind the hot
+// campaign stages.
 //
-// Default mode times each core kernel — pairwise distance matrix, one MLE
-// sweep, the max-quality greedy, a batched Φ evaluation, and one full
-// simulation run — serial vs. the parallel runtime, verifies the outputs are
+// Times each kernel — the pairwise distance matrix behind SFV domain
+// identification, one MLE sweep, and the max-quality greedy on two expertise
+// layouts — serial vs. the parallel runtime, verifies the outputs are
 // bit-identical, and writes BENCH_core.json (median-of-reps ns/op, speedup,
-// machine info). Kernels with a rewritten hot path also record before/after
-// columns (naive vs blocked distances, rescan vs CELF, scalar vs batched Φ)
-// and the greedy's gain-evaluation counters, so the asymptotic wins are
-// visible in the trajectory, not just wall-clock. That file is the perf
-// trajectory every later PR is measured against.
+// machine info). The distance matrix also records a before/after column
+// (naive per-pair scan vs the cache-blocked kernel, bitwise-checked), and
+// the greedy records its gain-evaluation counters, so the asymptotic wins
+// are visible in the trajectory, not just wall-clock.
 //
 //   micro_core [--out=BENCH_core.json] [--reps=3] [--threads=N] [--quick]
 //
-// Passing --gbench (or any --benchmark* flag) runs the original
-// google-benchmark suite instead: MLE truth analysis, average-linkage
-// clustering, the max-quality greedy, pair-word extraction, and skip-gram
-// training throughput.
-#include <benchmark/benchmark.h>
-
+// Exits 1 if any serial/parallel or naive/blocked pair differs bitwise.
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
@@ -26,10 +21,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,127 +33,12 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "io/snapshot.h"
-#include "sim/dataset.h"
-#include "sim/simulation.h"
-#include "stats/normal.h"
-#include "text/corpus.h"
 #include "text/pairword.h"
-#include "text/skipgram.h"
 #include "truth/eta2_mle.h"
-#include "truth/expertise_store.h"
 
 namespace {
 
 using eta2::Rng;
-
-// ---------------------------------------------------------------------------
-// Google-benchmark suite (run with --gbench / --benchmark_*).
-// ---------------------------------------------------------------------------
-
-void BM_MleEstimate(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
-  const auto tasks = static_cast<std::size_t>(state.range(1));
-  const std::size_t domains = 8;
-  Rng rng(42);
-  eta2::truth::ObservationSet data(users, tasks);
-  std::vector<eta2::truth::DomainIndex> domain(tasks);
-  for (std::size_t j = 0; j < tasks; ++j) {
-    domain[j] = j % domains;
-    const double mu = rng.uniform(0.0, 20.0);
-    for (std::size_t i = 0; i < users; ++i) {
-      if (rng.bernoulli(0.3)) data.add(j, i, rng.normal(mu, 1.0));
-    }
-  }
-  const eta2::truth::Eta2Mle mle;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mle.estimate(data, domain, domains));
-  }
-  // state.iterations() is already an int64 count; casting it again trips
-  // -Wuseless-cast.
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.total_observations()));
-}
-BENCHMARK(BM_MleEstimate)->Args({50, 200})->Args({100, 1000})->Args({200, 2000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_UpgmaDendrogram(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  eta2::clustering::SymmetricMatrix dist(n);
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) dist.set(i, j, rng.uniform(0.0, 10.0));
-  }
-  const std::vector<double> sizes(n, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eta2::clustering::upgma_dendrogram(dist, sizes));
-  }
-}
-BENCHMARK(BM_UpgmaDendrogram)->Arg(100)->Arg(400)->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MaxQualityGreedy(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
-  const auto tasks = static_cast<std::size_t>(state.range(1));
-  Rng rng(5);
-  eta2::alloc::AllocationProblem p;
-  p.expertise.assign(users, tasks);
-  for (double& u : p.expertise.data()) u = rng.uniform(0.1, 3.0);
-  p.task_time.resize(tasks);
-  for (double& t : p.task_time) t = rng.uniform(0.5, 1.5);
-  p.user_capacity.assign(users, 12.0);
-  const eta2::alloc::MaxQualityAllocator allocator;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(allocator.allocate(p));
-  }
-}
-BENCHMARK(BM_MaxQualityGreedy)->Args({50, 100})->Args({100, 200})
-    ->Args({100, 500})->Unit(benchmark::kMillisecond);
-
-void BM_PairWordExtraction(benchmark::State& state) {
-  const std::string description =
-      "What is the average waiting time of the shuttle near the municipal "
-      "building during the morning commute?";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eta2::text::extract_pair(description));
-  }
-}
-BENCHMARK(BM_PairWordExtraction);
-
-void BM_SkipGramTraining(benchmark::State& state) {
-  eta2::text::CorpusOptions corpus_options;
-  corpus_options.sentences_per_topic =
-      static_cast<std::size_t>(state.range(0));
-  const auto corpus = eta2::text::generate_corpus(corpus_options, 3);
-  eta2::text::SkipGramOptions options;
-  options.dimension = 32;
-  options.epochs = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eta2::text::SkipGramModel::train(corpus, options, 3));
-  }
-  std::size_t words = 0;
-  for (const auto& s : corpus) words += s.size();
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(words));
-}
-BENCHMARK(BM_SkipGramTraining)->Arg(50)->Arg(200)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TaskDistance(benchmark::State& state) {
-  Rng rng(11);
-  eta2::text::Embedding a(64);
-  eta2::text::Embedding b(64);
-  for (double& v : a) v = rng.normal();
-  for (double& v : b) v = rng.normal();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eta2::text::task_distance(a, b));
-  }
-}
-BENCHMARK(BM_TaskDistance);
-
-// ---------------------------------------------------------------------------
-// Perf-smoke harness (default mode).
-// ---------------------------------------------------------------------------
 
 // A kernel run returns a flat signature of its output; the harness compares
 // serial and parallel signatures bitwise to enforce the determinism
@@ -341,146 +219,30 @@ std::vector<Kernel> make_kernels(bool quick) {
     problem->task_time.resize(tasks);
     for (double& t : problem->task_time) t = rng.uniform(0.5, 1.5);
     problem->user_capacity.assign(users, 12.0);
-    const auto allocate_with = [problem](eta2::alloc::GreedyImpl impl) {
-      eta2::alloc::MaxQualityAllocator::Options options;
-      options.impl = impl;
-      const auto allocation =
-          eta2::alloc::MaxQualityAllocator(options).allocate(*problem);
-      return std::vector<double>{
-          eta2::alloc::allocation_objective(*problem, allocation, 1.0),
-          static_cast<double>(allocation.pair_count())};
-    };
     kernels.push_back(Kernel{
         domains == 0 ? "greedy_allocate" : "greedy_allocate_domains", tasks,
-        [allocate_with]() {
-          return allocate_with(eta2::alloc::GreedyImpl::kLazy);
+        [problem]() {
+          const auto allocation =
+              eta2::alloc::MaxQualityAllocator().allocate(*problem);
+          return std::vector<double>{
+              eta2::alloc::allocation_objective(*problem, allocation, 1.0),
+              static_cast<double>(allocation.pair_count())};
         },
-        [problem, allocate_with](int reps, KernelTiming& timing) {
-          // Deterministic work counters: marginal-gain evaluations per
-          // engine on the bench problem. The CELF win is asymptotic — the
-          // counter ratio shows it even when wall-clock is noisy.
-          const auto count_gains = [problem](eta2::alloc::GreedyImpl impl) {
-            eta2::alloc::GreedyOptions options;
-            options.impl = impl;
-            eta2::alloc::Allocation allocation(problem->user_count(),
-                                               problem->task_count());
-            eta2::alloc::GreedyStats stats;
-            eta2::alloc::greedy_extend(*problem, options, allocation, &stats);
-            return stats;
-          };
-          const eta2::alloc::GreedyStats rescan_stats =
-              count_gains(eta2::alloc::GreedyImpl::kRescan);
-          const eta2::alloc::GreedyStats lazy_stats =
-              count_gains(eta2::alloc::GreedyImpl::kLazy);
-          std::vector<double> rescan_signature;
-          const double rescan_ns = time_median_ns(
-              [allocate_with]() {
-                return allocate_with(eta2::alloc::GreedyImpl::kRescan);
-              },
-              reps, rescan_signature);
-          std::vector<double> lazy_signature;
-          const double lazy_ns = time_median_ns(
-              [allocate_with]() {
-                return allocate_with(eta2::alloc::GreedyImpl::kLazy);
-              },
-              reps, lazy_signature);
-          timing.extra.emplace_back(
-              "gain_evaluations_rescan",
-              std::to_string(rescan_stats.gain_evaluations));
-          timing.extra.emplace_back(
-              "gain_evaluations_celf",
-              std::to_string(lazy_stats.gain_evaluations));
-          timing.extra.emplace_back(
-              "gain_evaluation_ratio",
-              format_ratio(
-                  static_cast<double>(rescan_stats.gain_evaluations),
-                  static_cast<double>(lazy_stats.gain_evaluations)));
-          timing.extra.emplace_back("heap_pops_celf",
-                                    std::to_string(lazy_stats.heap_pops));
-          timing.extra.emplace_back("rescan_ns_per_op", format_ns(rescan_ns));
-          timing.extra.emplace_back("celf_ns_per_op", format_ns(lazy_ns));
-          timing.extra.emplace_back("celf_speedup",
-                                    format_ratio(rescan_ns, lazy_ns));
-          timing.extra.emplace_back(
-              "rescan_bit_identical",
-              bitwise_equal(rescan_signature, lazy_signature) ? "true"
-                                                              : "false");
+        [problem](int, KernelTiming& timing) {
+          // Deterministic work counters of one per-time greedy pass on the
+          // bench problem. The CELF win is asymptotic — the counters show
+          // it even when wall-clock is noisy.
+          eta2::alloc::Allocation allocation(problem->user_count(),
+                                             problem->task_count());
+          eta2::alloc::GreedyStats stats;
+          eta2::alloc::greedy_extend(*problem, {}, allocation, &stats);
+          timing.extra.emplace_back("selections",
+                                    std::to_string(stats.selections));
+          timing.extra.emplace_back("gain_evaluations",
+                                    std::to_string(stats.gain_evaluations));
+          timing.extra.emplace_back("heap_pops",
+                                    std::to_string(stats.heap_pops));
         }});
-  }
-
-  // 4. Batched Φ evaluation (Eq. 11, p_ij = 2Φ(εu) − 1): the span kernel
-  //    the allocators route their probability builds through, vs the scalar
-  //    entry point it replaced (per-cell validation and all).
-  {
-    const std::size_t count = quick ? 200000 : 1000000;
-    auto values = std::make_shared<std::vector<double>>();
-    Rng rng(23);
-    values->reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      values->push_back(rng.uniform(0.0, 4.0));
-    }
-    const double epsilon = 0.1;
-    const auto batch = [values, epsilon]() {
-      std::vector<double> out(values->size());
-      eta2::parallel::parallel_for_chunks(
-          values->size(), 4096, [&](std::size_t begin, std::size_t end) {
-            eta2::stats::accuracy_probability_batch(
-                std::span<const double>(*values).subspan(begin, end - begin),
-                epsilon, std::span<double>(out).subspan(begin, end - begin));
-          });
-      return out;
-    };
-    kernels.push_back(Kernel{
-        "phi_batch", count, batch,
-        [values, batch, epsilon](int reps, KernelTiming& timing) {
-          // Before-column reference: one scalar call (two require()s plus
-          // the 2·Φ−1 form) per cell.
-          const auto scalar = [values, epsilon]() {
-            std::vector<double> out(values->size());
-            for (std::size_t i = 0; i < values->size(); ++i) {
-              out[i] = eta2::stats::accuracy_probability((*values)[i], epsilon);
-            }
-            return out;
-          };
-          std::vector<double> scalar_signature;
-          const double scalar_ns =
-              time_median_ns(scalar, reps, scalar_signature);
-          std::vector<double> batch_signature;
-          const double batch_ns = time_median_ns(batch, reps, batch_signature);
-          timing.extra.emplace_back("scalar_ns_per_op", format_ns(scalar_ns));
-          timing.extra.emplace_back("batch_ns_per_op", format_ns(batch_ns));
-          timing.extra.emplace_back("batch_speedup",
-                                    format_ratio(scalar_ns, batch_ns));
-          timing.extra.emplace_back(
-              "scalar_bit_identical",
-              bitwise_equal(scalar_signature, batch_signature) ? "true"
-                                                               : "false");
-        }});
-  }
-
-  // 5. One full simulation run (pre-known-domain synthetic dataset; the
-  //    multi-day loop exercises MLE + greedy together).
-  {
-    const std::size_t tasks = quick ? 150 : 400;
-    auto dataset = std::make_shared<eta2::sim::Dataset>([tasks]() {
-      eta2::sim::SyntheticOptions options;
-      options.tasks = tasks;
-      return eta2::sim::make_synthetic(options, 11);
-    }());
-    kernels.push_back(Kernel{
-        "sim_step", tasks, [dataset]() {
-          const eta2::sim::SimOptions options;
-          const auto result = eta2::sim::simulate(
-              *dataset, "eta2", options, 11);
-          std::vector<double> signature{result.overall_error,
-                                        result.total_cost};
-          for (const auto& day : result.days) {
-            signature.push_back(day.estimation_error);
-            signature.push_back(day.cost);
-          }
-          return signature;
-        },
-        {}});
   }
 
   return kernels;
@@ -668,26 +430,4 @@ int run_smoke(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool gbench = false;
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--gbench") {
-      gbench = true;
-      continue;  // not a google-benchmark flag; strip it
-    }
-    if (arg.rfind("--benchmark", 0) == 0) gbench = true;
-    args.push_back(argv[i]);
-  }
-  if (gbench) {
-    int gb_argc = static_cast<int>(args.size());
-    benchmark::Initialize(&gb_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(gb_argc, args.data())) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-  return run_smoke(argc, argv);
-}
+int main(int argc, char** argv) { return run_smoke(argc, argv); }

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -29,12 +28,11 @@ constexpr std::size_t kPhiGrain = 4096;
 // for K classes, instead of n × m and m × n.
 class ClassPlane {
  public:
-  ClassPlane(const AllocationProblem& problem, double epsilon,
-             stats::FastMathTier tier)
+  ClassPlane(const AllocationProblem& problem, double epsilon)
       : n_(problem.user_count()) {
     const std::vector<TaskId> reps = classify(problem);
     k_ = reps.size();
-    build_p(problem, reps, epsilon, tier);
+    build_p(problem, reps, epsilon);
     build_orders();
   }
 
@@ -97,7 +95,7 @@ class ClassPlane {
   // p_ij for each class's representative column. The batched Φ kernel is
   // elementwise, so every cell is bit-identical to a per-task build.
   void build_p(const AllocationProblem& problem, std::span<const TaskId> reps,
-               double epsilon, stats::FastMathTier tier) {
+               double epsilon) {
     const std::size_t m = problem.task_count();
     const std::span<const double> cells = problem.expertise.data();
     p_.assign(n_ * k_, 0.0);
@@ -113,7 +111,7 @@ class ClassPlane {
           }
           const std::span<double> chunk =
               out.subspan(begin * k_, (end - begin) * k_);
-          stats::accuracy_probability_batch(u, epsilon, chunk, tier);
+          stats::accuracy_probability_batch(u, epsilon, chunk);
           for (std::size_t cell = begin * k_; cell < end * k_; ++cell) {
             // Algorithm 1's efficiency ordering assumes p_ij ∈ [0, 1].
             ETA2_ASSERT(p_[cell] >= 0.0 && p_[cell] <= 1.0);
@@ -130,7 +128,7 @@ class ClassPlane {
         const double pa = p(a, c);
         const double pb = p(b, c);
         if (pa != pb) return pa > pb;
-        return a < b;  // ties: ascending index, matching the rescan order
+        return a < b;  // ties: ascending index, Algorithm 1's scan order
       });
     });
   }
@@ -140,146 +138,6 @@ class ClassPlane {
   std::vector<std::size_t> class_of_;  // per task
   std::vector<double> p_;              // row-major n × K
   std::vector<UserId> order_;          // per class, (p desc, index asc)
-};
-
-// Working state shared by both greedy engines: remaining per-user capacity
-// and each task's miss probability Π(1 − p_ij). Each engine owns its p_ij
-// source and seeds miss_ through account_existing().
-class GreedyCore {
- public:
-  // Applies a selection to the shared state (both engines call this first,
-  // then fix up their own caches).
-  void apply(UserId i, TaskId j, double p_ij, Allocation& allocation) {
-    allocation.assign(i, j, problem_.task_time[j], problem_.cost_of(j));
-    remaining_[i] -= problem_.task_time[j];
-    // Capacity feasibility: an infeasible pair never has positive
-    // efficiency, so a selected pair can never overdraw the time budget.
-    ETA2_ASSERT(remaining_[i] >= 0.0);
-    miss_[j] *= 1.0 - p_ij;
-    ETA2_ASSERT(miss_[j] >= 0.0 && miss_[j] <= 1.0);
-  }
-
- protected:
-  GreedyCore(const AllocationProblem& problem, const GreedyOptions& options,
-             const Allocation& allocation)
-      : problem_(problem), options_(options), allocation_(allocation) {
-    const std::size_t n = problem.user_count();
-    remaining_.resize(n);
-    for (UserId i = 0; i < n; ++i) {
-      remaining_[i] = problem.user_capacity[i] - allocation.used_time(i);
-    }
-    miss_.assign(problem.task_count(), 1.0);
-  }
-
-  // Folds the pairs already in the allocation into miss_.
-  template <typename P>
-  void account_existing(const P& p) {
-    for (TaskId j = 0; j < problem_.task_count(); ++j) {
-      for (const UserId i : allocation_.users_of(j)) miss_[j] *= 1.0 - p(i, j);
-    }
-  }
-
-  const AllocationProblem& problem_;
-  const GreedyOptions& options_;
-  const Allocation& allocation_;
-  std::vector<double> remaining_;
-  std::vector<double> miss_;
-};
-
-// Reference engine: rescans every user of an invalidated task eagerly, over
-// its own per-cell p_ij matrix. Kept verbatim as the semantics oracle for
-// the lazy engine and independent of its class plane (the equivalence suite
-// in tests/alloc/lazy_greedy_test.cpp pins byte-identical allocations
-// between the two).
-class RescanGreedy : public GreedyCore {
- public:
-  RescanGreedy(const AllocationProblem& problem, const GreedyOptions& options,
-               const Allocation& allocation, GreedyStats& stats)
-      : GreedyCore(problem, options, allocation),
-        stats_(stats),
-        m_(problem.task_count()) {
-    const std::size_t n = problem.user_count();
-    const std::size_t m = problem.task_count();
-    p_.assign(n * m, 0.0);
-    const std::span<const double> expertise = problem.expertise.data();
-    const std::span<double> p_span{p_};
-    parallel::parallel_for_chunks(
-        n * m, kPhiGrain, [&](std::size_t begin, std::size_t end) {
-          stats::accuracy_probability_batch(
-              expertise.subspan(begin, end - begin), options_.epsilon,
-              p_span.subspan(begin, end - begin), options_.fast_math);
-          for (std::size_t cell = begin; cell < end; ++cell) {
-            ETA2_ASSERT(p_[cell] >= 0.0 && p_[cell] <= 1.0);
-          }
-        });
-    account_existing([this](UserId i, TaskId j) { return p(i, j); });
-    best_eff_.assign(m, 0.0);
-    best_user_.assign(m, n);
-    for (TaskId j = 0; j < m; ++j) rescan_task(j);
-  }
-
-  // Efficiency of (i, j) under the current state (Definition 1).
-  [[nodiscard]] double efficiency(UserId i, TaskId j) const {
-    ++stats_.gain_evaluations;
-    if (remaining_[i] < problem_.task_time[j]) return 0.0;
-    if (allocation_.is_assigned(i, j)) return 0.0;
-    const double gain = p(i, j) * miss_[j];
-    return options_.efficiency_per_time ? gain / problem_.task_time[j] : gain;
-  }
-
-  void rescan_task(TaskId j) {
-    const std::size_t n = problem_.user_count();
-    best_eff_[j] = 0.0;
-    best_user_[j] = n;
-    for (UserId i = 0; i < n; ++i) {
-      const double e = efficiency(i, j);
-      if (e > best_eff_[j]) {
-        best_eff_[j] = e;
-        best_user_[j] = i;
-      }
-    }
-  }
-
-  // Picks the globally best pair; returns false when max efficiency is 0.
-  [[nodiscard]] bool next(UserId& user, TaskId& task) const {
-    double best = 0.0;
-    TaskId best_task = problem_.task_count();
-    for (TaskId j = 0; j < problem_.task_count(); ++j) {
-      if (best_eff_[j] > best) {
-        best = best_eff_[j];
-        best_task = j;
-      }
-    }
-    if (best_task == problem_.task_count()) return false;
-    task = best_task;
-    user = best_user_[best_task];
-    return true;
-  }
-
-  // Applies the selection and refreshes the caches that it invalidated.
-  void select(UserId i, TaskId j, Allocation& allocation) {
-    apply(i, j, p(i, j), allocation);
-    ++stats_.selections;
-    rescan_task(j);
-    // Other tasks' cached best may reference user i, whose remaining
-    // capacity shrank (or which is now assigned to j only — irrelevant for
-    // them). Rescan exactly those tasks.
-    for (TaskId other = 0; other < problem_.task_count(); ++other) {
-      if (other != j && best_user_[other] == i &&
-          remaining_[i] < problem_.task_time[other]) {
-        rescan_task(other);
-      }
-    }
-  }
-
- private:
-  [[nodiscard]] double p(UserId i, TaskId j) const { return p_[i * m_ + j]; }
-
-  GreedyStats& stats_;
-  std::size_t m_;          // task count (row stride of p_)
-  std::vector<double> p_;  // row-major n × m accuracy probabilities
-  std::vector<double> best_eff_;
-  std::vector<UserId> best_user_;
 };
 
 // CELF lazy engine (DESIGN.md §11). Submodularity makes every cached
@@ -295,15 +153,30 @@ class RescanGreedy : public GreedyCore {
 // per-task cursor skips entries that became infeasible — permanently,
 // because infeasibility is monotone. A task refresh is then O(1) amortized
 // instead of O(n).
-class LazyGreedy : public GreedyCore {
+//
+// The working state is each user's remaining capacity and each task's miss
+// probability Π(1 − p_ij), both seeded from the pairs already in
+// `allocation`.
+class LazyGreedy {
  public:
   LazyGreedy(const AllocationProblem& problem, const GreedyOptions& options,
              const ClassPlane& plane, const Allocation& allocation,
              GreedyStats& stats)
-      : GreedyCore(problem, options, allocation), plane_(plane), stats_(stats) {
+      : problem_(problem),
+        options_(options),
+        plane_(plane),
+        allocation_(allocation),
+        stats_(stats) {
     const std::size_t n = problem.user_count();
     const std::size_t m = problem.task_count();
-    account_existing([this](UserId i, TaskId j) { return p(i, j); });
+    remaining_.resize(n);
+    for (UserId i = 0; i < n; ++i) {
+      remaining_[i] = problem.user_capacity[i] - allocation.used_time(i);
+    }
+    miss_.assign(m, 1.0);
+    for (TaskId j = 0; j < m; ++j) {
+      for (const UserId i : allocation.users_of(j)) miss_[j] *= 1.0 - p(i, j);
+    }
     cursor_.assign(m, 0);
     bound_.assign(m, 0.0);
     stamp_.assign(m, 0);
@@ -320,7 +193,7 @@ class LazyGreedy : public GreedyCore {
   // differs from the task's current bound is an outdated duplicate (bounds
   // only decrease and every decrease pushes a new entry) and is discarded.
   // Terminates when the top bound — an upper bound on every efficiency — is
-  // not positive, exactly when the rescanning engine's max hits zero.
+  // not positive, exactly when a full scan's max efficiency hits zero.
   [[nodiscard]] bool next(UserId& user, TaskId& task) {
     while (!heap_.empty()) {
       ++stats_.heap_pops;
@@ -333,8 +206,8 @@ class LazyGreedy : public GreedyCore {
       if (stamp_[j] == version_) {
         // Fresh under the current state: j's true gain ties or beats every
         // other task's upper bound, and the heap order (bound desc, task
-        // asc) plus the refresh loop reproduce the rescan tie-break — a
-        // stale equal-bound lower-index task pops first, refreshes, and
+        // asc) plus the refresh loop reproduce Algorithm 1's tie-break —
+        // a stale equal-bound lower-index task pops first, refreshes, and
         // wins the re-pop on a true tie.
         user = candidate_[j];
         task = j;
@@ -348,7 +221,13 @@ class LazyGreedy : public GreedyCore {
   }
 
   void select(UserId i, TaskId j, Allocation& allocation) {
-    apply(i, j, p(i, j), allocation);
+    allocation.assign(i, j, problem_.task_time[j], problem_.cost_of(j));
+    remaining_[i] -= problem_.task_time[j];
+    // Capacity feasibility: an infeasible pair never has positive
+    // efficiency, so a selected pair can never overdraw the time budget.
+    ETA2_ASSERT(remaining_[i] >= 0.0);
+    miss_[j] *= 1.0 - p(i, j);
+    ETA2_ASSERT(miss_[j] >= 0.0 && miss_[j] <= 1.0);
     ++stats_.selections;
     ++version_;
     // The stale bound stays a valid upper bound (gains only decrease), so
@@ -363,8 +242,8 @@ class LazyGreedy : public GreedyCore {
     double bound = 0.0;
     TaskId task = 0;
   };
-  // Max-heap order: higher bound first, lower task index first on ties (the
-  // rescan scan keeps the first strict maximum in task order).
+  // Max-heap order: higher bound first, lower task index first on ties
+  // (Algorithm 1's scan keeps the first strict maximum in task order).
   struct EntryOrder {
     [[nodiscard]] bool operator()(const Entry& a, const Entry& b) const {
       if (a.bound != b.bound) return a.bound < b.bound;
@@ -384,9 +263,9 @@ class LazyGreedy : public GreedyCore {
   // Recomputes task j's exact best efficiency under the current state and
   // records the winning user in candidate_[j]. The cursor's first feasible
   // user maximizes p_ij, hence efficiency; the forward walk then resolves
-  // the rescan engine's first-strict-maximum tie-break exactly — a user
-  // with (one-ulp) smaller p_ij can round to the same efficiency, and the
-  // rescan scan keeps the lowest index among such ties. Multiplication and
+  // Algorithm 1's first-strict-maximum tie-break exactly — a user with
+  // (one-ulp) smaller p_ij can round to the same efficiency, and the
+  // literal scan keeps the lowest index among such ties. Multiplication and
   // division by a positive constant are monotone under rounding, so the
   // walk stops at the first strictly smaller efficiency.
   [[nodiscard]] double refresh_gain(TaskId j) {
@@ -425,8 +304,13 @@ class LazyGreedy : public GreedyCore {
            !allocation_.is_assigned(i, j);
   }
 
+  const AllocationProblem& problem_;
+  const GreedyOptions& options_;
   const ClassPlane& plane_;
+  const Allocation& allocation_;
   GreedyStats& stats_;
+  std::vector<double> remaining_;    // per user
+  std::vector<double> miss_;         // per task, Π(1 − p_ij)
   std::vector<std::size_t> cursor_;  // first possibly-feasible order entry
   std::vector<double> bound_;        // current upper bound per task
   std::vector<std::size_t> stamp_;   // version bound_[j] was evaluated under
@@ -435,38 +319,23 @@ class LazyGreedy : public GreedyCore {
   std::size_t version_ = 0;  // incremented per selection
 };
 
-// One greedy pass over a validated problem. The lazy engine reads `plane`;
-// the rescanning reference ignores it and builds its own per-cell p_ij.
+// One greedy pass over a validated problem.
 std::size_t run_pass(const AllocationProblem& problem,
-                     const GreedyOptions& options, const ClassPlane* plane,
+                     const GreedyOptions& options, const ClassPlane& plane,
                      Allocation& allocation, GreedyStats& stats) {
   stats = GreedyStats{};
+  LazyGreedy state(problem, options, plane, allocation, stats);
   std::size_t added = 0;
   double spent = 0.0;
-  const auto drive = [&](auto& state) {
-    while (spent < options.cost_cap) {
-      UserId i = 0;
-      TaskId j = 0;
-      if (!state.next(i, j)) break;  // max efficiency hit zero
-      state.select(i, j, allocation);
-      spent += problem.cost_of(j);
-      ++added;
-    }
-  };
-  if (options.impl == GreedyImpl::kRescan) {
-    RescanGreedy state(problem, options, allocation, stats);
-    drive(state);
-  } else {
-    LazyGreedy state(problem, options, *plane, allocation, stats);
-    drive(state);
+  while (spent < options.cost_cap) {
+    UserId i = 0;
+    TaskId j = 0;
+    if (!state.next(i, j)) break;  // max efficiency hit zero
+    state.select(i, j, allocation);
+    spent += problem.cost_of(j);
+    ++added;
   }
   return added;
-}
-
-std::optional<ClassPlane> plane_for(const AllocationProblem& problem,
-                                    const GreedyOptions& options) {
-  if (options.impl == GreedyImpl::kRescan) return std::nullopt;
-  return ClassPlane(problem, options.epsilon, options.fast_math);
 }
 
 }  // namespace
@@ -483,8 +352,8 @@ std::size_t greedy_extend(const AllocationProblem& problem,
           "greedy_extend: allocation shape mismatch");
 
   GreedyStats local;
-  const std::optional<ClassPlane> plane = plane_for(problem, options);
-  return run_pass(problem, options, plane ? &*plane : nullptr, allocation,
+  const ClassPlane plane(problem, options.epsilon);
+  return run_pass(problem, options, plane, allocation,
                   stats != nullptr ? *stats : local);
 }
 
@@ -501,16 +370,13 @@ Allocation MaxQualityAllocator::allocate(const AllocationProblem& problem,
   GreedyOptions per_time;
   per_time.epsilon = options_.epsilon;
   per_time.efficiency_per_time = true;
-  per_time.impl = options_.impl;
-  per_time.fast_math = options_.fast_math;
   // Both passes share one class plane: they differ only in the efficiency
   // denominator, never in p_ij or the candidate orders.
-  const std::optional<ClassPlane> plane = plane_for(problem, per_time);
-  const ClassPlane* shared = plane ? &*plane : nullptr;
+  const ClassPlane plane(problem, options_.epsilon);
 
   GreedyStats total;
   Allocation primary(problem.user_count(), problem.task_count());
-  run_pass(problem, per_time, shared, primary, total);
+  run_pass(problem, per_time, plane, primary, total);
   if (!options_.half_approx_pass) {
     if (stats) *stats = total;
     return primary;
@@ -520,7 +386,7 @@ Allocation MaxQualityAllocator::allocate(const AllocationProblem& problem,
   value_only.efficiency_per_time = false;
   GreedyStats pass_stats;
   Allocation secondary(problem.user_count(), problem.task_count());
-  run_pass(problem, value_only, shared, secondary, pass_stats);
+  run_pass(problem, value_only, plane, secondary, pass_stats);
   if (stats) {
     total.selections += pass_stats.selections;
     total.gain_evaluations += pass_stats.gain_evaluations;

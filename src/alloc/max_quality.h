@@ -11,13 +11,13 @@
 // 1/2-approximation for monotone submodular maximization under a knapsack
 // constraint (§5.1.2, "extra step").
 //
-// Two implementations produce the identical selection sequence (DESIGN.md
-// §11): the reference rescanning greedy, and the default CELF-style lazy
-// greedy that exploits submodularity — every pick only shrinks every pair's
-// marginal gain, so stale cached gains are upper bounds and a max-heap of
-// them replaces the per-pick full scans. The lazy engine builds p_ij and its
-// candidate orders once per distinct expertise column — tasks of one domain
-// share one — and MaxQualityAllocator shares them between its two passes.
+// The greedy is CELF-style lazy (DESIGN.md §11): submodularity means every
+// pick only shrinks every pair's marginal gain, so stale cached gains are
+// upper bounds and a max-heap of them replaces the per-pick full scans of a
+// literal Algorithm 1, with the identical selection sequence. It builds p_ij
+// and its candidate orders once per distinct expertise column — tasks of one
+// domain share one — and MaxQualityAllocator shares them between its two
+// passes.
 #ifndef ETA2_ALLOC_MAX_QUALITY_H
 #define ETA2_ALLOC_MAX_QUALITY_H
 
@@ -25,25 +25,16 @@
 #include <limits>
 
 #include "alloc/allocation.h"
-#include "stats/normal.h"
 
 namespace eta2::alloc {
 
-// Which greedy engine drives the selection loop. Both are exact and pick
-// identical sequences (including the lowest-index tie-breaks); they differ
-// only in how many gains they evaluate per pick.
-enum class GreedyImpl {
-  kLazy = 0,    // CELF lazy greedy: heap of stale upper bounds (default)
-  kRescan = 1,  // reference implementation: rescan invalidated tasks eagerly
-};
-
-// Work counters for one greedy_extend call (reset on entry). The
-// asymptotic win of kLazy over kRescan shows up in `gain_evaluations`
-// (tracked per allocator benchmark in BENCH_core.json).
+// Work counters for one greedy_extend call (reset on entry). The lazy
+// engine's asymptotic win over a per-pick full scan shows up in
+// `gain_evaluations` (tracked per allocator benchmark in BENCH_core.json).
 struct GreedyStats {
   std::size_t selections = 0;        // pairs added
   std::size_t gain_evaluations = 0;  // efficiency(i, j) computations
-  std::size_t heap_pops = 0;         // kLazy only
+  std::size_t heap_pops = 0;         // lazy-heap pops, stale entries included
 };
 
 struct GreedyOptions {
@@ -54,10 +45,6 @@ struct GreedyOptions {
   // Budget for the cost of pairs added by this call (Algorithm 2's c°):
   // selection stops once the added cost reaches the cap.
   double cost_cap = std::numeric_limits<double>::infinity();
-  GreedyImpl impl = GreedyImpl::kLazy;
-  // Numeric tier for the p_ij build; kExact keeps golden transcripts
-  // bit-identical. See stats::FastMathTier.
-  stats::FastMathTier fast_math = stats::FastMathTier::kExact;
 };
 
 // Greedily extends `allocation` (which may already contain assignments from
@@ -74,8 +61,6 @@ class MaxQualityAllocator {
     double epsilon = 0.1;
     // Enables the ½-approximation extra pass (paper always enables it).
     bool half_approx_pass = true;
-    GreedyImpl impl = GreedyImpl::kLazy;
-    stats::FastMathTier fast_math = stats::FastMathTier::kExact;
   };
 
   MaxQualityAllocator() = default;

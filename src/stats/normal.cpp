@@ -1,7 +1,5 @@
 #include "stats/normal.h"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 
@@ -11,55 +9,6 @@ namespace eta2::stats {
 namespace {
 constexpr double kInvSqrt2Pi = 0.3989422804014327;  // 1/sqrt(2π)
 constexpr double kSqrt2 = 1.4142135623730951;
-
-// --- FastMathTier::kSplineV1 ----------------------------------------------
-// Cubic Hermite spline of erf on a uniform grid over [0, kSplineMax].
-// Knot values/slopes come from libm once at first use; evaluation is a
-// table lookup plus a cubic — no erf/erfc in the loop. With 1024 intervals
-// the interpolation error is O(h⁴ max|erf⁗|) ≈ 9e-12; beyond kSplineMax,
-// erf(6) = 1 − 2.2e-17, so clamping to 1.0 stays inside the tier's bound.
-constexpr std::size_t kSplineIntervals = 1024;
-constexpr double kSplineMax = 6.0;
-// Exactly representable (6/1024 = 3·2⁻⁹), so t/h and the knot grid k·h
-// introduce no extra rounding.
-constexpr double kSplineStep = kSplineMax / static_cast<double>(kSplineIntervals);
-
-struct ErfSplineTable {
-  std::array<double, kSplineIntervals + 1> value{};
-  std::array<double, kSplineIntervals + 1> slope{};  // pre-scaled by h
-};
-
-const ErfSplineTable& erf_spline_table() {
-  static const ErfSplineTable kTable = [] {
-    ErfSplineTable table;
-    constexpr double kTwoOverSqrtPi = 1.1283791670955126;  // erf'(0)
-    for (std::size_t k = 0; k <= kSplineIntervals; ++k) {
-      const double x = static_cast<double>(k) * kSplineStep;
-      table.value[k] = std::erf(x);
-      table.slope[k] = kSplineStep * kTwoOverSqrtPi * std::exp(-x * x);
-    }
-    return table;
-  }();
-  return kTable;
-}
-
-// erf(t) for t >= 0 via the spline (kSplineV1 semantics).
-double erf_spline(double t) {
-  if (t >= kSplineMax) return 1.0;
-  const ErfSplineTable& table = erf_spline_table();
-  const double s = t / kSplineStep;
-  std::size_t k = static_cast<std::size_t>(s);
-  if (k >= kSplineIntervals) k = kSplineIntervals - 1;
-  const double u = s - static_cast<double>(k);
-  const double u2 = u * u;
-  const double u3 = u2 * u;
-  const double y0 = table.value[k];
-  const double y1 = table.value[k + 1];
-  const double m0 = table.slope[k];
-  const double m1 = table.slope[k + 1];
-  return (2.0 * u3 - 3.0 * u2 + 1.0) * y0 + (u3 - 2.0 * u2 + u) * m0 +
-         (3.0 * u2 - 2.0 * u3) * y1 + (u3 - u2) * m1;
-}
 }  // namespace
 
 double normal_pdf(double x) { return kInvSqrt2Pi * std::exp(-0.5 * x * x); }
@@ -126,8 +75,7 @@ double accuracy_probability(double expertise, double epsilon) {
 }
 
 void accuracy_probability_batch(std::span<const double> expertise,
-                                double epsilon, std::span<double> out,
-                                FastMathTier tier) {
+                                double epsilon, std::span<double> out) {
   require(out.size() == expertise.size(),
           "accuracy_probability_batch: span size mismatch");
   require(epsilon >= 0.0, "accuracy_probability_batch: epsilon must be >= 0");
@@ -137,21 +85,12 @@ void accuracy_probability_batch(std::span<const double> expertise,
   std::size_t bad = 0;
   for (const double u : expertise) bad += u >= 0.0 ? 0u : 1u;
   require(bad == 0, "accuracy_probability_batch: expertise must be >= 0");
-  if (tier == FastMathTier::kExact) {
-    // Scalar path: 2·(erfc(−εu/√2)/2) − 1. The doubling cancels the half
-    // bit-exactly (erfc of a non-positive argument lies in [1, 2] — never
-    // subnormal), so erfc(−εu/√2) − 1 is the identical value with one
-    // multiply fewer per cell.
-    for (std::size_t i = 0; i < expertise.size(); ++i) {
-      out[i] = std::erfc(-(epsilon * expertise[i]) / kSqrt2) - 1.0;
-    }
-    return;
-  }
-  // kSplineV1: p = 2Φ(εu) − 1 = erf(εu/√2), approximated by the spline.
-  // Clamped so downstream p ∈ [0, 1] invariants hold even if the Hermite
-  // interpolant over/undershoots by an ulp at the grid edges.
+  // Scalar path: 2·(erfc(−εu/√2)/2) − 1. The doubling cancels the half
+  // bit-exactly (erfc of a non-positive argument lies in [1, 2] — never
+  // subnormal), so erfc(−εu/√2) − 1 is the identical value with one multiply
+  // fewer per cell.
   for (std::size_t i = 0; i < expertise.size(); ++i) {
-    out[i] = std::clamp(erf_spline(epsilon * expertise[i] / kSqrt2), 0.0, 1.0);
+    out[i] = std::erfc(-(epsilon * expertise[i]) / kSqrt2) - 1.0;
   }
 }
 

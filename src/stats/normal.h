@@ -33,30 +33,15 @@ namespace eta2::stats {
 // Requires epsilon >= 0 and u >= 0.
 [[nodiscard]] double accuracy_probability(double expertise, double epsilon);
 
-// Numeric tier of the batched kernels. Explicitly versioned: a tier value is
-// a contract about the maximum error, so a new approximation must get a new
-// enumerator — never silently change an existing one.
-enum class FastMathTier {
-  // Bit-identical to the scalar accuracy_probability (the default; every
-  // golden transcript is recorded under this tier).
-  kExact = 0,
-  // Cubic-Hermite spline of erf over a uniform grid (1024 intervals on
-  // [0, 6], clamped to 1 beyond). Absolute error <= 1e-10; the tolerance
-  // tier test in tests/stats/normal_test.cpp pins the measured ULP bound.
-  kSplineV1 = 1,
-};
-
 // Batched Eq. 11: out[i] = accuracy_probability(expertise[i], epsilon) for
-// every element. Argument validation (epsilon >= 0, every expertise >= 0,
-// equal span sizes) is hoisted to one check per batch instead of two
-// require()s per cell, so the transform loop stays branch-light — this is
-// the kernel hot paths call from inside parallel regions. `expertise` and
-// `out` may alias only if they are the same span.
-// With FastMathTier::kExact the results are bit-identical to the scalar
-// entry point; kSplineV1 trades <= 1e-10 absolute error for skipping erfc.
+// every element, bit-identical to the scalar entry point. Argument
+// validation (epsilon >= 0, every expertise >= 0, equal span sizes) is
+// hoisted to one check per batch instead of two require()s per cell, so the
+// transform loop stays branch-light — this is the kernel hot paths call from
+// inside parallel regions. `expertise` and `out` may alias only if they are
+// the same span.
 void accuracy_probability_batch(std::span<const double> expertise,
-                                double epsilon, std::span<double> out,
-                                FastMathTier tier = FastMathTier::kExact);
+                                double epsilon, std::span<double> out);
 
 }  // namespace eta2::stats
 

@@ -51,9 +51,10 @@
 namespace eta2::truth {
 
 // How far the defended truth path may deviate from the plain Eq. 5/6
-// reference. Versioned like stats::FastMathTier: the default is
-// bit-identical to a defense-free build, every other tier pins its own
-// transcript.
+// reference. Explicitly versioned: the default is bit-identical to a
+// defense-free build, every other tier pins its own transcript, and a
+// changed defense gets a new enumerator — an existing tier's behaviour
+// never changes silently.
 enum class DefenseTier : int {
   // No defenses: no ledger exists, no filtering, no discounting. Golden
   // transcripts and v1/v2 save blobs are byte-identical to pre-trust

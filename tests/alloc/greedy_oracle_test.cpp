@@ -1,54 +1,22 @@
-// Oracle test: the incremental-cache greedy (GreedyState with per-task best
-// pairs and selective rescans) must pick exactly the same pairs as a naive
-// implementation that recomputes every pair's efficiency each round.
+// Oracle test: the lazy greedy (class plane, CELF heap, per-task cursors)
+// must pick exactly the same pairs as the literal Algorithm 1 in
+// greedy_oracle.h, which recomputes every pair's efficiency each round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "alloc/max_quality.h"
 #include "common/rng.h"
-#include "stats/normal.h"
+#include "greedy_oracle.h"
 
 namespace eta2::alloc {
 namespace {
 
-// Literal Algorithm 1: full O(n·m) efficiency scan per selection.
-Allocation naive_greedy(const AllocationProblem& p, const GreedyOptions& opt) {
-  const std::size_t n = p.user_count();
-  const std::size_t m = p.task_count();
-  Allocation a(n, m);
-  std::vector<double> remaining = p.user_capacity;
-  std::vector<double> miss(m, 1.0);
-  double spent = 0.0;
-  while (spent < opt.cost_cap) {
-    double best = 0.0;
-    UserId best_user = n;
-    TaskId best_task = m;
-    for (UserId i = 0; i < n; ++i) {
-      for (TaskId j = 0; j < m; ++j) {
-        if (a.is_assigned(i, j)) continue;
-        if (remaining[i] < p.task_time[j]) continue;
-        const double p_ij =
-            stats::accuracy_probability(p.expertise(i, j), opt.epsilon);
-        const double gain = p_ij * miss[j];
-        const double eff =
-            opt.efficiency_per_time ? gain / p.task_time[j] : gain;
-        if (eff > best) {
-          best = eff;
-          best_user = i;
-          best_task = j;
-        }
-      }
-    }
-    if (best_task == m) break;
-    a.assign(best_user, best_task, p.task_time[best_task],
-             p.cost_of(best_task));
-    remaining[best_user] -= p.task_time[best_task];
-    miss[best_task] *=
-        1.0 - stats::accuracy_probability(p.expertise(best_user, best_task),
-                                          opt.epsilon);
-    spent += p.cost_of(best_task);
-  }
+Allocation naive_allocation(const AllocationProblem& p,
+                            const GreedyOptions& options) {
+  Allocation a(p.user_count(), p.task_count());
+  naive_greedy(p, options, a);
   return a;
 }
 
@@ -86,7 +54,7 @@ TEST_P(GreedyOracleSweep, MatchesNaiveImplementation) {
   options.efficiency_per_time = per_time;
   Allocation fast(users, tasks);
   greedy_extend(p, options, fast);
-  const Allocation naive = naive_greedy(p, options);
+  const Allocation naive = naive_allocation(p, options);
   EXPECT_TRUE(same_allocation(fast, naive)) << "seed " << seed;
 }
 
@@ -111,7 +79,7 @@ TEST(GreedyOracleTest, CostCapMatchesToo) {
   options.cost_cap = 6.0;
   Allocation fast(users, tasks);
   greedy_extend(p, options, fast);
-  const Allocation naive = naive_greedy(p, options);
+  const Allocation naive = naive_allocation(p, options);
   EXPECT_TRUE(same_allocation(fast, naive));
 }
 

@@ -1,0 +1,57 @@
+// Reference/rewrite gate for the cache-blocked distance kernel:
+// clustering::pairwise_task_distances must equal a per-pair
+// text::task_distance scan bit for bit, at every thread count and on sizes
+// that leave partial 32-row blocks (n < 32, n not a multiple of 32).
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "clustering/dynamic_clusterer.h"
+#include "common/parallel.h"
+#include "common/rng.h"
+#include "text/pairword.h"
+
+namespace eta2::clustering {
+namespace {
+
+std::vector<text::Embedding> random_points(std::size_t n, std::size_t dim,
+                                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<text::Embedding> points;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    text::Embedding v(dim);
+    for (double& x : v) x = rng.normal();
+    points.push_back(std::move(v));
+  }
+  return points;
+}
+
+TEST(PairwiseDistancesTest, BlockedMatchesPerPairTaskDistanceBitwise) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    parallel::set_thread_count(threads);
+    for (const std::size_t n : {0u, 1u, 2u, 7u, 31u, 32u, 33u, 64u, 95u}) {
+      for (const std::size_t dim : {2u, 6u, 64u}) {
+        const auto points = random_points(n, dim, n * 131 + dim);
+        const SymmetricMatrix blocked = pairwise_task_distances(points);
+        ASSERT_EQ(blocked.size(), n);
+        for (std::size_t i = 1; i < n; ++i) {
+          for (std::size_t j = 0; j < i; ++j) {
+            const double naive = text::task_distance(points[i], points[j]);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(blocked.at(i, j)),
+                      std::bit_cast<std::uint64_t>(naive))
+                << "threads " << threads << " n " << n << " dim " << dim
+                << " cell (" << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+  parallel::set_thread_count(0);  // restore the default
+}
+
+}  // namespace
+}  // namespace eta2::clustering
