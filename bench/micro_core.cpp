@@ -1,14 +1,16 @@
 // Perf-smoke harness: micro-benchmarks of the kernels behind the hot
 // campaign stages.
 //
-// Times each kernel — the pairwise distance matrix behind SFV domain
-// identification, one MLE sweep, and the max-quality greedy on two expertise
-// layouts — serial vs. the parallel runtime, verifies the outputs are
-// bit-identical, and writes BENCH_core.json (median-of-reps ns/op, speedup,
-// machine info). The distance matrix also records a before/after column
-// (naive per-pair scan vs the cache-blocked kernel, bitwise-checked), and
-// the greedy records its gain-evaluation counters, so the asymptotic wins
-// are visible in the trajectory, not just wall-clock.
+// Times each kernel — the pairwise distance matrix, the multi-round domain
+// identification behind SFV steps, one MLE sweep, and the max-quality greedy
+// on two expertise layouts — serial vs. the parallel runtime, verifies the
+// outputs are bit-identical, and writes BENCH_core.json (median-of-reps
+// ns/op, speedup, machine info, the configured git commit and the exact
+// argv). The distance matrix also records a before/after column (naive
+// per-pair scan vs the cache-blocked kernel, bitwise-checked), the
+// identification rounds their distance-evaluation count, and the greedy its
+// gain-evaluation counters, so the asymptotic wins are visible in the
+// trajectory, not just wall-clock.
 //
 //   micro_core [--out=BENCH_core.json] [--reps=3] [--threads=N] [--quick]
 //
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -165,7 +168,65 @@ std::vector<Kernel> make_kernels(bool quick) {
         }});
   }
 
-  // 2. One MLE estimate (Eqs. 5–6) at paper scale.
+  // 2. Domain identification: 5 DynamicClusterer rounds of 360 64-dim
+  //    points around 10 topics — the SFV campaign's per-day batch — so the
+  //    last round pairs 360 new tasks with 1440 earlier ones.
+  {
+    const std::size_t rounds = 5;
+    const std::size_t per_round = 360;
+    const std::size_t dim = 64;
+    Rng rng(29);
+    std::vector<eta2::text::Embedding> topics(10, eta2::text::Embedding(dim));
+    for (auto& topic : topics) {
+      for (double& x : topic) x = 1.5 * rng.normal();
+    }
+    auto batches =
+        std::make_shared<std::vector<std::vector<eta2::text::Embedding>>>();
+    for (std::size_t r = 0; r < rounds; ++r) {
+      std::vector<eta2::text::Embedding> batch;
+      batch.reserve(per_round);
+      for (std::size_t t = 0; t < per_round; ++t) {
+        const auto& topic = topics[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(topics.size()) - 1))];
+        eta2::text::Embedding v(dim);
+        for (std::size_t k = 0; k < dim; ++k) v[k] = topic[k] + rng.normal();
+        batch.push_back(std::move(v));
+      }
+      batches->push_back(std::move(batch));
+    }
+    kernels.push_back(Kernel{
+        "cluster_rounds", rounds * per_round,
+        [batches]() {
+          eta2::clustering::DynamicClusterer clusterer(0.5);
+          std::vector<double> signature;
+          for (const auto& batch : *batches) {
+            const auto update = clusterer.add_tasks(batch);
+            for (const auto d : update.assignments) signature.push_back(d);
+            for (const auto d : update.new_domains) signature.push_back(d);
+            for (const auto& merge : update.merges) {
+              signature.push_back(merge.kept);
+              signature.push_back(merge.absorbed);
+            }
+            signature.push_back(
+                static_cast<double>(update.distance_evaluations));
+          }
+          signature.push_back(clusterer.dstar());
+          return signature;
+        },
+        [batches](int, KernelTiming& timing) {
+          eta2::clustering::DynamicClusterer clusterer(0.5);
+          std::size_t evaluations = 0;
+          for (const auto& batch : *batches) {
+            evaluations += clusterer.add_tasks(batch).distance_evaluations;
+          }
+          timing.extra.emplace_back("distance_evaluations",
+                                    std::to_string(evaluations));
+          timing.extra.emplace_back("domains",
+                                    std::to_string(clusterer.domain_count()));
+        }});
+  }
+
+  // 3. One MLE estimate (Eqs. 5–6) at paper scale.
   {
     const std::size_t users = quick ? 100 : 300;
     const std::size_t tasks = quick ? 500 : 2000;
@@ -195,7 +256,7 @@ std::vector<Kernel> make_kernels(bool quick) {
         {}});
   }
 
-  // 3. Max-quality greedy allocation (Algorithm 1), on two expertise
+  // 4. Max-quality greedy allocation (Algorithm 1), on two expertise
   //    layouts: every task column distinct (no class sharing — the engine's
   //    worst case), and columns shared per domain as the step pipeline
   //    builds them (DESIGN.md §11).
@@ -277,8 +338,27 @@ struct MachineInfo {
   std::size_t threads_effective = 0;
 };
 
+// JSON string literal for an arbitrary argv entry.
+std::string json_string(const std::string& raw) {
+  std::string out = "\"";
+  for (const char c : raw) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buffer[8];
+      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buffer;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
 void write_json(const std::string& path, const MachineInfo& machine,
-                int reps, bool quick,
+                int reps, bool quick, const std::vector<std::string>& argv,
                 const std::vector<KernelTiming>& timings) {
   const char* env_threads = std::getenv("ETA2_THREADS");
   std::string out;
@@ -303,6 +383,14 @@ void write_json(const std::string& path, const MachineInfo& machine,
 #endif
   );
   appendf(out, "  },\n");
+  // Configure-time `git rev-parse HEAD` ("-dirty" when tracked files
+  // differed from it, "unknown" outside a git checkout).
+  appendf(out, "  \"git_commit\": \"%s\",\n", ETA2_GIT_COMMIT);
+  out += "  \"argv\": [";
+  for (std::size_t a = 0; a < argv.size(); ++a) {
+    out += (a == 0 ? "" : ", ") + json_string(argv[a]);
+  }
+  out += "],\n";
   appendf(out, "  \"reps\": %d,\n", reps);
   appendf(out, "  \"quick\": %s,\n", quick ? "true" : "false");
   appendf(out, "  \"kernels\": [\n");
@@ -423,7 +511,8 @@ int run_smoke(int argc, char** argv) {
     }
   }
 
-  write_json(out_path, machine, reps, quick, timings);
+  write_json(out_path, machine, reps, quick,
+             std::vector<std::string>(argv, argv + argc), timings);
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

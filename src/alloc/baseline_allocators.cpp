@@ -1,11 +1,31 @@
 #include "alloc/baseline_allocators.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "common/error.h"
 
 namespace eta2::alloc {
+
+namespace {
+
+// Every user-task pair as its compact index k = i·m + j, in the narrowest
+// type that holds n·m, shuffled with the same Fisher-Yates draws a list of
+// (i, j) pairs in the same initial order would get — so the visit order is
+// identical at a quarter (uint32_t) or half (uint64_t) of the pair list's
+// 16 bytes per pair.
+template <typename Index>
+std::vector<Index> shuffled_pair_order(std::size_t pairs, Rng& rng) {
+  std::vector<Index> order(pairs);
+  std::iota(order.begin(), order.end(), Index{0});
+  rng.shuffle(order);
+  return order;
+}
+
+}  // namespace
 
 Allocation RandomAllocator::allocate(const AllocationProblem& problem,
                                      Rng& rng) const {
@@ -16,25 +36,29 @@ Allocation RandomAllocator::allocate(const AllocationProblem& problem,
   std::vector<double> remaining = problem.user_capacity;
   std::vector<std::size_t> per_task(m, 0);
 
-  // Candidate pair list in random order; a pass may unlock nothing further
+  // Candidate pairs in random order; a pass may unlock nothing further
   // once capacities are exhausted, so a single shuffled pass over all pairs
   // (n*m) with feasibility checks suffices: any pair skipped for capacity
   // would also fail later since capacity only shrinks.
-  std::vector<std::pair<UserId, TaskId>> pairs;
-  pairs.reserve(n * m);
-  for (UserId i = 0; i < n; ++i) {
-    for (TaskId j = 0; j < m; ++j) pairs.emplace_back(i, j);
-  }
-  rng.shuffle(pairs);
-  for (const auto& [i, j] : pairs) {
-    if (options_.max_users_per_task != 0 &&
-        per_task[j] >= options_.max_users_per_task) {
-      continue;
+  const auto visit = [&](const auto& order) {
+    for (const auto k : order) {
+      const UserId i = static_cast<UserId>(k / m);
+      const TaskId j = static_cast<TaskId>(k % m);
+      if (options_.max_users_per_task != 0 &&
+          per_task[j] >= options_.max_users_per_task) {
+        continue;
+      }
+      if (remaining[i] < problem.task_time[j]) continue;
+      allocation.assign(i, j, problem.task_time[j], problem.cost_of(j));
+      remaining[i] -= problem.task_time[j];
+      ++per_task[j];
     }
-    if (remaining[i] < problem.task_time[j]) continue;
-    allocation.assign(i, j, problem.task_time[j], problem.cost_of(j));
-    remaining[i] -= problem.task_time[j];
-    ++per_task[j];
+  };
+  const std::size_t pairs = n * m;
+  if (pairs <= std::numeric_limits<std::uint32_t>::max()) {
+    visit(shuffled_pair_order<std::uint32_t>(pairs, rng));
+  } else {
+    visit(shuffled_pair_order<std::uint64_t>(pairs, rng));
   }
   return allocation;
 }

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <istream>
-#include <map>
 #include <ostream>
-#include <set>
 #include <string>
 
+#include "clustering/domain_moments.h"
 #include "clustering/linkage.h"
 #include "common/check.h"
 #include "common/error.h"
@@ -123,13 +122,13 @@ void DynamicClusterer::save(std::ostream& out) const {
   write_number(gamma_);
   out << ' ';
   write_number(dstar_);
-  out << ' ' << next_domain_ << ' ' << points_.size() << ' '
-      << (points_.empty() ? 0 : points_.front().size()) << '\n';
-  for (std::size_t p = 0; p < points_.size(); ++p) {
+  const std::size_t dim = task_count() == 0 ? 0 : dim_;
+  out << ' ' << next_domain_ << ' ' << task_count() << ' ' << dim << '\n';
+  for (std::size_t p = 0; p < task_count(); ++p) {
     out << point_domain_[p];
-    for (const double v : points_[p]) {
+    for (std::size_t k = 0; k < dim; ++k) {
       out << ' ';
-      write_number(v);
+      write_number(points_[p * dim + k]);
     }
     out << '\n';
   }
@@ -152,23 +151,22 @@ DynamicClusterer DynamicClusterer::load(std::istream& in) {
   DynamicClusterer clusterer(gamma);
   clusterer.dstar_ = dstar;
   clusterer.next_domain_ = next_domain;
+  clusterer.dim_ = dim;
   // eta2-lint: allow(unbounded-input-resize) — resume path: this stream is
   // a snapshot the process itself wrote; the per-point require() below
   // fails fast on a truncated count, so a corrupt header costs one
   // oversized reserve, not silent growth from hostile input.
-  clusterer.points_.reserve(point_count);
-  // eta2-lint: allow(unbounded-input-resize) — see above.
   clusterer.point_domain_.reserve(point_count);
   for (std::size_t p = 0; p < point_count; ++p) {
     DomainId domain = 0;
     require(static_cast<bool>(in >> domain),
             "DynamicClusterer::load: truncated points");
-    text::Embedding vec(dim, 0.0);
-    for (double& v : vec) {
+    for (std::size_t k = 0; k < dim; ++k) {
+      double v = 0.0;
       require(static_cast<bool>(in >> v),
               "DynamicClusterer::load: truncated vector");
+      clusterer.points_.push_back(v);
     }
-    clusterer.points_.push_back(std::move(vec));
     clusterer.point_domain_.push_back(domain);
   }
   clusterer.rebuild_live_domains();
@@ -183,93 +181,96 @@ ClusterUpdate DynamicClusterer::add_tasks(
   for (const auto& v : vectors) {
     require(v.size() == dim, "DynamicClusterer: inconsistent vector dimension");
   }
-  require(points_.empty() || points_.front().size() == dim,
+  const std::size_t old_count = task_count();
+  require(old_count == 0 || dim_ == dim,
           "DynamicClusterer: dimension differs from previous batches");
-
-  const std::size_t old_count = points_.size();
-  for (const auto& v : vectors) points_.push_back(v);
-  const std::size_t total = points_.size();
-  point_domain_.resize(total, 0);
+  const std::size_t batch = vectors.size();
+  const std::size_t total = old_count + batch;
   // Any round with at least one pair computes distances, and task_distance
   // demands an even (concatenated [V_Q; V_T]) dimension — hoisted here so
-  // no throwing validation runs inside the parallel sweeps below.
+  // no throwing validation runs inside the parallel pass below.
   require(total < 2 || dim % 2 == 0,
           "DynamicClusterer: expected concatenated [V_Q; V_T]");
-  const std::vector<double> flat = flatten_points(points_, dim);
-  const double* flat_rows = flat.data();
+  dim_ = dim;
+  for (const auto& v : vectors) points_.insert(points_.end(), v.begin(), v.end());
+  point_domain_.resize(total, 0);
+  const double* rows = points_.data();
 
-  // Update d* with the new pairwise distances (new-vs-all). Max over fixed
-  // chunks combined in index order — bit-identical at any thread count.
-  const double batch_max = parallel::parallel_reduce(
-      total - old_count, 4, 0.0,
+  // Units for this round: one unit per existing live domain (ascending id;
+  // live_domains_ still describes the pre-batch points), then one singleton
+  // unit per new task.
+  const std::vector<DomainId> existing = live_domains_;
+  const std::size_t existing_units = existing.size();
+  const std::size_t n_units = existing_units + batch;
+  std::vector<double> sizes(n_units, 1.0);
+  std::fill_n(sizes.begin(), existing_units, 0.0);
+  std::vector<std::size_t> unit_of(old_count);
+  for (std::size_t p = 0; p < old_count; ++p) {
+    const auto it =
+        std::lower_bound(existing.begin(), existing.end(), point_domain_[p]);
+    ETA2_ASSERT(it != existing.end() && *it == point_domain_[p]);
+    unit_of[p] = static_cast<std::size_t>(it - existing.begin());
+    sizes[unit_of[p]] += 1.0;
+  }
+
+  // Fused pass: each new × earlier distance is evaluated once and feeds the
+  // d* max, its singleton × domain sum (added in ascending member index) or
+  // its singleton × singleton cell. Each new row owns its sums and its row
+  // of the unit matrix, and the max folds fixed chunks in index order, so
+  // the result is bit-identical at any thread count.
+  SymmetricMatrix dist(n_units);
+  struct RowFold {
+    double max = 0.0;
+    std::size_t evaluations = 0;
+  };
+  const RowFold fold = parallel::parallel_reduce(
+      batch, 4, RowFold{},
       [&](std::size_t begin, std::size_t end) {
-        double local = 0.0;
+        RowFold local;
+        std::vector<double> sums(existing_units);
         for (std::size_t t = begin; t < end; ++t) {
           const std::size_t i = old_count + t;
-          const double* row = flat_rows + i * dim;
-          for (std::size_t j = 0; j < i; ++j) {
-            local = std::max(local,
-                             task_distance_rows(row, flat_rows + j * dim, dim));
+          const std::size_t u = existing_units + t;
+          const double* row = rows + i * dim;
+          std::fill(sums.begin(), sums.end(), 0.0);
+          for (std::size_t j = 0; j < old_count; ++j) {
+            const double d = task_distance_rows(row, rows + j * dim, dim);
+            local.max = std::max(local.max, d);
+            sums[unit_of[j]] += d;
           }
+          for (std::size_t j = old_count; j < i; ++j) {
+            const double d = task_distance_rows(row, rows + j * dim, dim);
+            local.max = std::max(local.max, d);
+            dist.set_unchecked(u, existing_units + (j - old_count), d);
+          }
+          for (std::size_t v = 0; v < existing_units; ++v) {
+            dist.set_unchecked(u, v, sums[v] / sizes[v]);
+          }
+          local.evaluations += i;
         }
         return local;
       },
-      [](double a, double b) { return std::max(a, b); });
-  dstar_ = std::max(dstar_, batch_max);
+      [](RowFold a, RowFold b) {
+        return RowFold{std::max(a.max, b.max), a.evaluations + b.evaluations};
+      });
+  update.distance_evaluations = fold.evaluations;
+  dstar_ = std::max(dstar_, fold.max);
   const double threshold = gamma_ * dstar_;
 
-  // Units for this round: one unit per existing live domain, plus one
-  // singleton unit per new task. (Existing domains are derived from the
-  // pre-batch points only — the resized placeholder labels of the new
-  // points must not leak in.)
-  std::set<DomainId> existing_set(point_domain_.begin(),
-                                  point_domain_.begin() +
-                                      static_cast<std::ptrdiff_t>(old_count));
-  const std::vector<DomainId> existing(existing_set.begin(), existing_set.end());
-  std::vector<std::vector<std::size_t>> unit_members;
-  unit_members.reserve(existing.size() + (total - old_count));
-  for (const DomainId d : existing) {
-    std::vector<std::size_t> members;
-    for (std::size_t p = 0; p < old_count; ++p) {
-      if (point_domain_[p] == d) members.push_back(p);
-    }
-    unit_members.push_back(std::move(members));
-  }
-  const std::size_t existing_units = unit_members.size();
-  for (std::size_t p = old_count; p < total; ++p) {
-    unit_members.push_back({p});
-  }
-  const std::size_t n_units = unit_members.size();
-
-  // Average pairwise distance between units.
-  std::vector<double> sizes(n_units, 0.0);
-  for (std::size_t u = 0; u < n_units; ++u) {
-    sizes[u] = static_cast<double>(unit_members[u].size());
-  }
-  SymmetricMatrix dist(n_units);
-  if (existing_units == 0) {
-    // Warm-up round: every unit is the singleton {p} with p == u, so the
-    // unit matrix IS the pairwise task-distance matrix (sum/1.0 bitwise).
-    dist = pairwise_task_distances(points_);
-  } else {
-    // Rows are disjoint; each cell averages its members independently. The
-    // member lists index the flattened buffer, so the inner sweep streams
-    // contiguous rows instead of chasing Embedding pointers.
-    parallel::parallel_for(n_units, 4, [&](std::size_t u) {
+  // Domain × domain cells from each domain's centroid and spread, at
+  // O(total·dim + D²·dim) and no distance evaluations.
+  if (existing_units > 1) {
+    const DomainMoments moments(
+        std::span<const double>(points_).first(old_count * dim), dim, unit_of,
+        existing_units);
+    for (std::size_t u = 1; u < existing_units; ++u) {
       for (std::size_t v = 0; v < u; ++v) {
-        double sum = 0.0;
-        for (const std::size_t p : unit_members[u]) {
-          const double* row = flat_rows + p * dim;
-          for (const std::size_t q : unit_members[v]) {
-            sum += task_distance_rows(row, flat_rows + q * dim, dim);
-          }
-        }
-        dist.set_unchecked(u, v, sum / (sizes[u] * sizes[v]));
+        dist.set_unchecked(u, v, moments.mean_pair_distance(u, v));
       }
-    });
+    }
   }
 
-  const auto dendrogram = upgma_dendrogram(dist, sizes);
+  const auto dendrogram = upgma_dendrogram(std::move(dist), sizes);
   const auto labels = cut_dendrogram(dendrogram, n_units, threshold);
   // Every unit gets exactly one flat label; the relabel loops below index
   // labels[u] for every unit.
@@ -311,8 +312,12 @@ ClusterUpdate DynamicClusterer::add_tasks(
   // Relabel every point (absorbed domains move to the surviving id).
   for (std::size_t u = 0; u < n_units; ++u) {
     ETA2_ASSERT(labels[u] < label_count && label_has_domain[labels[u]]);
-    const DomainId d = label_domain[labels[u]];
-    for (const std::size_t p : unit_members[u]) point_domain_[p] = d;
+  }
+  for (std::size_t p = 0; p < old_count; ++p) {
+    point_domain_[p] = label_domain[labels[unit_of[p]]];
+  }
+  for (std::size_t t = 0; t < batch; ++t) {
+    point_domain_[old_count + t] = label_domain[labels[existing_units + t]];
   }
   // Refresh the live list from this round's cluster→domain map (every final
   // cluster is non-empty, so these ids are exactly the live set) instead of

@@ -40,6 +40,10 @@ struct ClusterUpdate {
   std::vector<DomainId> assignments;  // one per new task, in input order
   std::vector<DomainId> new_domains;
   std::vector<DomainMerge> merges;
+  // Task-distance evaluations the round made: exactly
+  // batch × old + batch·(batch − 1)/2. Domain × domain linkage comes from
+  // DomainMoments and costs none.
+  std::size_t distance_evaluations = 0;
 };
 
 class DynamicClusterer {
@@ -49,12 +53,15 @@ class DynamicClusterer {
 
   // Adds a batch of task semantic vectors (all with one fixed dimension) and
   // runs the merging round. The first call plays the role of the paper's
-  // warm-up clustering (every task starts as a singleton).
+  // warm-up clustering (every task starts as a singleton). One round costs
+  // batch·old + batch·(batch − 1)/2 distance evaluations plus
+  // O(D²·dim + units²) for D live domains and units = D + batch
+  // (DESIGN.md §11).
   ClusterUpdate add_tasks(std::span<const text::Embedding> vectors);
 
   [[nodiscard]] double gamma() const { return gamma_; }
   [[nodiscard]] double dstar() const { return dstar_; }
-  [[nodiscard]] std::size_t task_count() const { return points_.size(); }
+  [[nodiscard]] std::size_t task_count() const { return point_domain_.size(); }
   // Number of currently live domains. O(1): the live list is maintained
   // incrementally as batches are added.
   [[nodiscard]] std::size_t domain_count() const { return live_domains_.size(); }
@@ -74,7 +81,10 @@ class DynamicClusterer {
 
   double gamma_;
   double dstar_ = 0.0;
-  std::vector<text::Embedding> points_;
+  // Every task ever added, one row-major buffer of task_count() × dim_
+  // values appended per batch (dim_ is meaningless while it is empty).
+  std::vector<double> points_;
+  std::size_t dim_ = 0;
   std::vector<DomainId> point_domain_;
   // Sorted-unique live domain ids, refreshed once per add_tasks round (and
   // on load) rather than rebuilt from every point on each query.

@@ -28,9 +28,9 @@ void SymmetricMatrix::set(std::size_t i, std::size_t j, double value) {
   data_[index(i, j)] = value;
 }
 
-std::vector<MergeStep> upgma_dendrogram(const SymmetricMatrix& distances,
+std::vector<MergeStep> upgma_dendrogram(SymmetricMatrix dist,
                                         std::vector<double> sizes) {
-  const std::size_t n = distances.size();
+  const std::size_t n = dist.size();
   require(sizes.size() == n, "upgma_dendrogram: sizes/matrix size mismatch");
   for (const double s : sizes) {
     require(s > 0.0, "upgma_dendrogram: cluster sizes must be positive");
@@ -39,11 +39,14 @@ std::vector<MergeStep> upgma_dendrogram(const SymmetricMatrix& distances,
   if (n < 2) return steps;
   steps.reserve(n - 1);
 
-  // Working distance matrix over "slots". Slot k initially holds cluster k;
-  // after a merge the combined cluster reuses one slot and the other slot is
-  // deactivated. `label[k]` is the dendrogram index the slot currently holds.
-  SymmetricMatrix dist = distances;
-  std::vector<bool> active(n, true);
+  // `dist` is the working matrix over "slots". Slot k initially holds
+  // cluster k; after a merge the combined cluster reuses one slot and the
+  // other slot leaves `active`, the ascending list of live slots, so every
+  // scan below touches only live slots, in the same ascending order a full
+  // 0..n−1 sweep would visit them. `label[k]` is the dendrogram index the
+  // slot currently holds.
+  std::vector<std::size_t> active(n);
+  std::iota(active.begin(), active.end(), std::size_t{0});
   std::vector<std::size_t> label(n);
   std::iota(label.begin(), label.end(), std::size_t{0});
 
@@ -53,12 +56,13 @@ std::vector<MergeStep> upgma_dendrogram(const SymmetricMatrix& distances,
 
   // All slot indices below stay < n and merges never compare a slot with
   // itself, so the shape validation above licenses the unchecked accessors.
+  // Ties keep the lowest slot (strict <, ascending scan).
   auto nearest_active = [&](std::size_t slot, std::size_t exclude,
                             bool has_exclude) -> std::size_t {
     std::size_t best = n;
     double best_dist = std::numeric_limits<double>::infinity();
-    for (std::size_t other = 0; other < n; ++other) {
-      if (!active[other] || other == slot) continue;
+    for (const std::size_t other : active) {
+      if (other == slot) continue;
       if (has_exclude && other == exclude) continue;
       const double d = dist.at_unchecked(slot, other);
       if (d < best_dist) {
@@ -70,17 +74,9 @@ std::vector<MergeStep> upgma_dendrogram(const SymmetricMatrix& distances,
   };
 
   std::size_t next_label = n;
-  std::size_t remaining = n;
-  while (remaining > 1) {
-    if (chain.empty()) {
-      // Start the chain from any active slot.
-      for (std::size_t k = 0; k < n; ++k) {
-        if (active[k]) {
-          chain.push_back(k);
-          break;
-        }
-      }
-    }
+  while (active.size() > 1) {
+    // Start the chain from the lowest active slot.
+    if (chain.empty()) chain.push_back(active.front());
     while (true) {
       const std::size_t tip = chain.back();
       const bool has_prev = chain.size() >= 2;
@@ -105,19 +101,18 @@ std::vector<MergeStep> upgma_dendrogram(const SymmetricMatrix& distances,
         // Lance-Williams update for average linkage into slot a.
         const double sa = sizes[a];
         const double sb = sizes[b];
-        for (std::size_t other = 0; other < n; ++other) {
-          if (!active[other] || other == a || other == b) continue;
+        for (const std::size_t other : active) {
+          if (other == a || other == b) continue;
           const double updated = (sa * dist.at_unchecked(a, other) +
                                   sb * dist.at_unchecked(b, other)) /
                                  (sa + sb);
           dist.set_unchecked(a, other, updated);
         }
         sizes[a] = sa + sb;
-        active[b] = false;
+        active.erase(std::lower_bound(active.begin(), active.end(), b));
         label[a] = next_label++;
         chain.pop_back();
         chain.pop_back();
-        --remaining;
         break;
       }
       chain.push_back(nn);

@@ -63,9 +63,10 @@ struct MergeStep {
 
 // Builds the full UPGMA dendrogram from an initial distance matrix and the
 // initial cluster sizes (size > 0; use 1.0 for singleton points).
-// Returns n−1 merge steps. Requires n >= 1.
+// Returns n−1 merge steps. Requires n >= 1. The matrix is the algorithm's
+// working storage: a caller that no longer needs it moves it in.
 [[nodiscard]] std::vector<MergeStep> upgma_dendrogram(
-    const SymmetricMatrix& distances, std::vector<double> sizes);
+    SymmetricMatrix distances, std::vector<double> sizes);
 
 // Cuts a dendrogram: applies every merge with distance < threshold and
 // returns, for each of the n initial clusters, a flat label in [0, k).

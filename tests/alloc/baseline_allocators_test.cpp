@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -40,6 +43,50 @@ TEST(RandomAllocatorTest, DeterministicGivenRngState) {
   for (TaskId j = 0; j < 10; ++j) {
     EXPECT_EQ(std::vector<UserId>(a.users_of(j).begin(), a.users_of(j).end()),
               std::vector<UserId>(b.users_of(j).begin(), b.users_of(j).end()));
+  }
+}
+
+// The allocator shuffles compact pair indices i·m + j; shuffling the
+// (user, task) pair list itself with the same generator must visit the
+// pairs in the same order and leave the generator in the same state.
+TEST(RandomAllocatorTest, MatchesShuffledPairListReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng setup(seed);
+    const std::size_t n = 3 + seed;
+    const std::size_t m = 5 + 3 * seed;
+    AllocationProblem p = uniform_problem(n, m);
+    for (double& t : p.task_time) t = setup.uniform(0.5, 2.0);
+    for (double& c : p.user_capacity) c = setup.uniform(1.0, 6.0);
+    const std::size_t cap = seed % 2 == 0 ? 2 : 0;
+
+    Rng reference_rng(seed + 50);
+    Allocation reference(n, m);
+    std::vector<double> remaining = p.user_capacity;
+    std::vector<std::size_t> per_task(m, 0);
+    std::vector<std::pair<UserId, TaskId>> pairs;
+    for (UserId i = 0; i < n; ++i) {
+      for (TaskId j = 0; j < m; ++j) pairs.emplace_back(i, j);
+    }
+    reference_rng.shuffle(pairs);
+    for (const auto& [i, j] : pairs) {
+      if (cap != 0 && per_task[j] >= cap) continue;
+      if (remaining[i] < p.task_time[j]) continue;
+      reference.assign(i, j, p.task_time[j], p.cost_of(j));
+      remaining[i] -= p.task_time[j];
+      ++per_task[j];
+    }
+
+    Rng rng(seed + 50);
+    const Allocation a =
+        RandomAllocator(RandomAllocator::Options{cap}).allocate(p, rng);
+    ASSERT_EQ(a.pair_count(), reference.pair_count()) << "seed " << seed;
+    for (TaskId j = 0; j < m; ++j) {
+      const auto got = a.users_of(j);
+      const auto want = reference.users_of(j);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "seed " << seed << " task " << j;
+    }
+    EXPECT_EQ(rng(), reference_rng());
   }
 }
 

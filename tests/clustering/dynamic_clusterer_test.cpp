@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "common/rng.h"
 #include "text/embedder.h"
 #include "text/pairword.h"
 
@@ -133,6 +134,28 @@ TEST(DynamicClustererTest, DstarGrowsMonotonically) {
   EXPECT_GT(c.dstar(), d1);
   c.add_tasks(std::vector<text::Embedding>{point(0.5, 0.0)});
   EXPECT_GE(c.dstar(), d1);
+}
+
+// One round evaluates each new × earlier task pair exactly once — the
+// warm-up round's all-pairs triangle included — and domain × domain
+// linkage adds no evaluations.
+TEST(DynamicClustererTest, DistanceEvaluationsArePerRoundExact) {
+  DynamicClusterer c(0.1);
+  Rng rng(11);
+  std::size_t old = 0;
+  for (const std::size_t batch : {9u, 1u, 14u, 5u, 30u, 2u}) {
+    std::vector<text::Embedding> vectors;
+    for (std::size_t t = 0; t < batch; ++t) {
+      const double centre = 20.0 * static_cast<double>(rng.uniform_int(0, 3));
+      vectors.push_back(point(centre + rng.normal(), rng.normal()));
+    }
+    const ClusterUpdate u = c.add_tasks(vectors);
+    EXPECT_EQ(u.distance_evaluations, batch * old + batch * (batch - 1) / 2)
+        << "batch " << batch << " after " << old << " tasks";
+    old += batch;
+  }
+  EXPECT_GT(c.domain_count(), 1u);
+  EXPECT_EQ(c.add_tasks({}).distance_evaluations, 0u);
 }
 
 // End-to-end: cluster semantic vectors of topic-coherent descriptions using

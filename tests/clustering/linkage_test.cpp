@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -98,6 +100,42 @@ TEST(UpgmaTest, HeightsAreMonotoneAlongPaths) {
     EXPECT_LE(node_height[steps[k].a], steps[k].distance + 1e-12);
     EXPECT_LE(node_height[steps[k].b], steps[k].distance + 1e-12);
   }
+}
+
+// Pins the NN-chain's exact output — merge order, child ids and the bit
+// pattern of every merge height — over seeded matrices n = 2..71 with
+// random cluster sizes 1–4. Every third matrix holds small integer
+// distances, so equal-distance ties (and the chain's lowest-slot and
+// prefer-predecessor tie rules) are exercised constantly. The expected
+// digest was computed with the full-slot-scan NN-chain of commit f8845e5.
+TEST(UpgmaTest, DendrogramDigestIsPinned) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+  const auto mix = [&digest](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xffU;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t n = 2; n <= 71; ++n) {
+    Rng rng(1000 + n);
+    const bool integer_valued = n % 3 == 0;
+    SymmetricMatrix m(n);
+    for (std::size_t i = 1; i < n; ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        m.set(i, j, integer_valued
+                        ? static_cast<double>(rng.uniform_int(1, 6))
+                        : rng.uniform(0.0, 10.0));
+      }
+    }
+    std::vector<double> sizes(n);
+    for (double& s : sizes) s = static_cast<double>(rng.uniform_int(1, 4));
+    for (const MergeStep& step : upgma_dendrogram(m, sizes)) {
+      mix(step.a);
+      mix(step.b);
+      mix(std::bit_cast<std::uint64_t>(step.distance));
+    }
+  }
+  EXPECT_EQ(digest, 0xb94fe4e8955aa46dULL);
 }
 
 TEST(UpgmaTest, RejectsBadSizes) {

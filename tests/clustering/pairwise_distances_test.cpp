@@ -7,6 +7,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "clustering/dynamic_clusterer.h"
@@ -51,6 +53,43 @@ TEST(PairwiseDistancesTest, BlockedMatchesPerPairTaskDistanceBitwise) {
     }
   }
   parallel::set_thread_count(0);  // restore the default
+}
+
+// The fused identification pass writes each new row's sums and unit-matrix
+// row from one lane and folds d* over fixed chunks, so a whole multi-round
+// stream — every update, d*, and the saved state — is bitwise the same at
+// 1, 2 and 8 threads.
+TEST(DynamicClustererThreadsTest, UpdatesAreBitIdenticalAcrossThreadCounts) {
+  const auto run = [](std::size_t threads) {
+    parallel::set_thread_count(threads);
+    DynamicClusterer clusterer(0.1);
+    std::ostringstream transcript;
+    for (std::uint64_t round = 0; round < 5; ++round) {
+      auto batch = random_points(37, 64, 500 + round);
+      // Four topics, plus one far outlier in round 3: it grows d*, and
+      // with it γ·d*, until existing domains merge.
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const double topic = round == 3 && i == 0 ? 10.0
+                                                  : static_cast<double>(i % 4);
+        for (double& x : batch[i]) x += 6.0 * topic;
+      }
+      const ClusterUpdate u = clusterer.add_tasks(batch);
+      for (const DomainId d : u.assignments) transcript << d << ' ';
+      for (const DomainId d : u.new_domains) transcript << 'n' << d << ' ';
+      for (const DomainMerge& m : u.merges) {
+        transcript << 'm' << m.kept << ':' << m.absorbed << ' ';
+      }
+      transcript << u.distance_evaluations << ' '
+                 << std::bit_cast<std::uint64_t>(clusterer.dstar()) << '\n';
+    }
+    clusterer.save(transcript);
+    parallel::set_thread_count(0);  // restore the default
+    return transcript.str();
+  };
+  const std::string serial = run(1);
+  EXPECT_NE(serial.find(" m"), std::string::npos);
+  EXPECT_EQ(run(2), serial);
+  EXPECT_EQ(run(8), serial);
 }
 
 }  // namespace
