@@ -257,25 +257,20 @@ std::vector<Kernel> make_kernels(bool quick) {
   }
 
   // 4. Max-quality greedy allocation (Algorithm 1), on two expertise
-  //    layouts: every task column distinct (no class sharing — the engine's
-  //    worst case), and columns shared per domain as the step pipeline
-  //    builds them (DESIGN.md §11).
+  //    layouts: every task its own column (no class sharing — the engine's
+  //    worst case), and one column per domain with the task → column map
+  //    the step pipeline hands over (DESIGN.md §11).
   for (const std::size_t domains : {std::size_t{0}, std::size_t{8}}) {
     const std::size_t users = quick ? 80 : 200;
     const std::size_t tasks = quick ? 200 : 600;
+    const std::size_t columns = domains == 0 ? tasks : domains;
     Rng rng(5);
     auto problem = std::make_shared<eta2::alloc::AllocationProblem>();
-    problem->expertise.assign(users, tasks);
-    if (domains == 0) {
-      for (double& u : problem->expertise.data()) u = rng.uniform(0.1, 3.0);
-    } else {
-      for (std::size_t i = 0; i < users; ++i) {
-        std::vector<double> per_domain(domains);
-        for (double& u : per_domain) u = rng.uniform(0.1, 3.0);
-        for (std::size_t j = 0; j < tasks; ++j) {
-          problem->expertise(i, j) = per_domain[j % domains];
-        }
-      }
+    problem->expertise.assign(users, columns);
+    for (double& u : problem->expertise.data()) u = rng.uniform(0.1, 3.0);
+    problem->task_column.resize(tasks);
+    for (std::size_t j = 0; j < tasks; ++j) {
+      problem->task_column[j] = j % columns;
     }
     problem->task_time.resize(tasks);
     for (double& t : problem->task_time) t = rng.uniform(0.5, 1.5);

@@ -12,8 +12,17 @@ void AllocationProblem::validate() const {
   const std::size_t n = user_count();
   const std::size_t m = task_count();
   require(user_capacity.size() == n, "AllocationProblem: capacity size != n");
-  require(expertise.cols() == m || (n == 0 && expertise.cols() == 0),
-          "AllocationProblem: expertise cols != m");
+  if (task_column.empty()) {
+    require(expertise.cols() == m || (n == 0 && expertise.cols() == 0),
+            "AllocationProblem: expertise cols != m");
+  } else {
+    require(task_column.size() == m,
+            "AllocationProblem: task_column size != m");
+    for (const std::size_t c : task_column) {
+      require(c < expertise.cols(),
+              "AllocationProblem: task column out of range");
+    }
+  }
   for (const double u : expertise.data()) {
     require(u >= 0.0, "AllocationProblem: expertise must be >= 0");
   }
@@ -67,8 +76,7 @@ double task_success_probability(const AllocationProblem& problem,
                                 double epsilon) {
   double miss = 1.0;
   for (const UserId i : allocation.users_of(task)) {
-    const double p_ij =
-        stats::accuracy_probability(problem.expertise(i, task), epsilon);
+    const double p_ij = stats::accuracy_probability(problem.u(i, task), epsilon);
     // p_ij = Φ(ε·u) − Φ(−ε·u) is a probability by construction; outside
     // [0, 1] the greedy efficiency ordering loses its meaning (Alg. 1).
     ETA2_ASSERT(p_ij >= 0.0 && p_ij <= 1.0);

@@ -15,9 +15,10 @@
 // pick only shrinks every pair's marginal gain, so stale cached gains are
 // upper bounds and a max-heap of them replaces the per-pick full scans of a
 // literal Algorithm 1, with the identical selection sequence. It builds p_ij
-// and its candidate orders once per distinct expertise column — tasks of one
-// domain share one — and MaxQualityAllocator shares them between its two
-// passes.
+// and its candidate orders once per expertise column the tasks reference
+// (AllocationProblem::task_column) — tasks of one domain share one — and
+// MaxQualityAllocator shares them between its two passes, which run
+// concurrently on large problems.
 #ifndef ETA2_ALLOC_MAX_QUALITY_H
 #define ETA2_ALLOC_MAX_QUALITY_H
 
@@ -35,6 +36,9 @@ struct GreedyStats {
   std::size_t selections = 0;        // pairs added
   std::size_t gain_evaluations = 0;  // efficiency(i, j) computations
   std::size_t heap_pops = 0;         // lazy-heap pops, stale entries included
+  // Eq. 12 objective of the resulting allocation, bit-identical to
+  // allocation_objective(problem, allocation, epsilon).
+  double objective = 0.0;
 };
 
 struct GreedyOptions {
@@ -68,7 +72,8 @@ class MaxQualityAllocator {
 
   [[nodiscard]] Allocation allocate(const AllocationProblem& problem) const;
   // As above, additionally summing both greedy passes' work counters into
-  // `*stats` when non-null (the ½-approximation pass included).
+  // `*stats` when non-null (the ½-approximation pass included); its
+  // `objective` is the returned allocation's.
   [[nodiscard]] Allocation allocate(const AllocationProblem& problem,
                                     GreedyStats* stats) const;
 

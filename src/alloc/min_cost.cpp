@@ -1,5 +1,6 @@
 #include "alloc/min_cost.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -53,10 +54,24 @@ MinCostAllocator::Result MinCostAllocator::run(
   }
 
   // Tasks whose quality requirement is already met are excluded from
-  // further recruiting (their expertise column is zeroed, so the greedy's
-  // efficiency for them is 0): paying for extra observers on a passing
-  // task can only waste budget that a failing task needs.
-  AllocationProblem working = problem;
+  // further recruiting: the working copy gains one all-zero expertise
+  // column and a passing task is pointed at it, so Φ(0) = 0 makes the
+  // greedy's efficiency for it exactly 0. Paying for extra observers on a
+  // passing task can only waste budget that a failing task needs.
+  // (A dense problem's column count is m even when it has no user rows.)
+  const std::size_t columns =
+      problem.task_column.empty() ? m : problem.expertise.cols();
+  AllocationProblem working;
+  working.expertise.assign(n, columns + 1, 0.0);
+  for (UserId i = 0; i < n; ++i) {
+    std::ranges::copy(problem.expertise.row(i),
+                      working.expertise.row(i).begin());
+  }
+  working.task_column.resize(m);
+  for (TaskId j = 0; j < m; ++j) working.task_column[j] = problem.column_of(j);
+  working.task_time = problem.task_time;
+  working.user_capacity = problem.user_capacity;
+  working.task_cost = problem.task_cost;
   std::vector<bool> task_passed(m, false);
   std::vector<bool> asked(n * m, false);
 
@@ -117,7 +132,7 @@ MinCostAllocator::Result MinCostAllocator::run(
       ETA2_ASSERT(std::isfinite(info[j]) && info[j] >= 0.0);
       if (info[j] > required_info) {
         task_passed[j] = true;
-        for (UserId i = 0; i < n; ++i) working.expertise(i, j) = 0.0;
+        working.task_column[j] = columns;
       } else {
         pass = false;
       }

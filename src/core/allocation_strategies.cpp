@@ -17,8 +17,8 @@ MaxQualityStrategy::MaxQualityStrategy(const Eta2Config& config)
           config.epsilon, config.half_approx_pass}) {}
 
 void MaxQualityStrategy::allocate(StepContext& ctx) {
-  // The class plane builds p_ij and the candidate orders once per domain
-  // (DESIGN.md §11).
+  // The problem's columns are the store's domains, so the greedy builds
+  // p_ij and the candidate orders once per domain (DESIGN.md §11).
   alloc::GreedyStats stats;
   ctx.allocation = allocator_.allocate(ctx.problem, &stats);
   ctx.health.greedy_selections += stats.selections;

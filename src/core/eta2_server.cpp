@@ -172,7 +172,7 @@ Eta2Server::StepResult Eta2Server::step(std::span<const NewTask> tasks,
   ctx.domain_count = store_.domain_count();
   cancellation_point();
 
-  ctx.health.shard_count = std::max<std::size_t>(ctx.domain_count, 1);
+  ctx.health.domain_count = std::max<std::size_t>(ctx.domain_count, 1);
 
   // --- Contiguous allocation plane shared by all strategies. ---
   alloc::AllocationProblem& problem = ctx.problem;
@@ -184,9 +184,12 @@ Eta2Server::StepResult Eta2Server::step(std::span<const NewTask> tasks,
     problem.task_cost.push_back(t.cost);
   }
   problem.user_capacity.assign(user_capacity.begin(), user_capacity.end());
-  store_.fill_task_expertise(ctx.task_domains, problem.expertise);
+  // The user × domain snapshot, one column per domain; each task reads its
+  // domain's column (AllocationProblem::task_column).
+  problem.expertise = store_.snapshot();
+  problem.task_column = ctx.task_domains;
   // Trust-discounted allocation (DESIGN.md §14): low-trust and quarantined
-  // identities see their expertise plane scaled down before any strategy
+  // identities see their expertise rows scaled down before any strategy
   // runs, so attackers cannot capture budget while under suspicion.
   if (trust_) trust_->discount_expertise(problem.expertise);
 

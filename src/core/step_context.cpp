@@ -19,8 +19,8 @@ void StepHealth::merge(const StepHealth& other) {
   quality_unmet_tasks += other.quality_unmet_tasks;
   empty_batch = empty_batch || other.empty_batch;
   quarantined_batches += other.quarantined_batches;
-  shard_count = std::max(shard_count, other.shard_count);
-  sharded_truth_iterations += other.sharded_truth_iterations;
+  domain_count = std::max(domain_count, other.domain_count);
+  truth_iterations += other.truth_iterations;
   greedy_selections += other.greedy_selections;
   greedy_gain_evaluations += other.greedy_gain_evaluations;
   greedy_heap_pops += other.greedy_heap_pops;

@@ -83,12 +83,11 @@ struct StepHealth {
   // --- work counters ---
   // Deterministic, persisted in the campaign snapshot's extra block
   // (eta2-sim-extra v2, sim/durable_sim.h) so a resumed campaign reports
-  // its full health history; none feed degraded(). The first two keep the
-  // names of the v2 slots they fill.
-  std::size_t shard_count = 0;  // max(domain_count, 1) of the step
+  // its full health history; none feed degraded().
+  std::size_t domain_count = 0;  // max(domain count, 1) of the step
   // Iterations of the configured truth updaters (warm-up MLE, dynamic
   // update); the trust ledger's steady-state update adds none.
-  std::size_t sharded_truth_iterations = 0;
+  std::size_t truth_iterations = 0;
   // Greedy work counters (GreedyStats) from the max-quality allocator,
   // both ½-approximation passes summed; zero for other strategies.
   std::size_t greedy_selections = 0;

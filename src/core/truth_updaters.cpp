@@ -13,7 +13,7 @@ void WarmupJointMleUpdater::update(StepContext& ctx) {
           "WarmupJointMleUpdater: store, mle and config required");
   const truth::MleResult fit = ctx.mle->estimate(
       ctx.observations, ctx.task_domains, ctx.domain_count);
-  ctx.health.sharded_truth_iterations +=
+  ctx.health.truth_iterations +=
       static_cast<std::size_t>(fit.iterations);
   ctx.truth = fit.mu;
   ctx.sigma = fit.sigma;
@@ -36,7 +36,7 @@ void DynamicTruthUpdater::update(StepContext& ctx) {
           "DynamicTruthUpdater: store and mle required");
   const truth::DynamicUpdateResult result = truth::dynamic_update(
       *ctx.store, ctx.observations, ctx.task_domains, alpha_, *ctx.mle);
-  ctx.health.sharded_truth_iterations +=
+  ctx.health.truth_iterations +=
       static_cast<std::size_t>(result.iterations);
   ctx.truth = result.mu;
   ctx.sigma = result.sigma;

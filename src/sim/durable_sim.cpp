@@ -177,8 +177,8 @@ void write_step_health(std::ostream& out, const core::StepHealth& h) {
       << h.silent_pairs << " " << (h.identifier_failed ? 1 : 0) << " "
       << h.domain_fallback_tasks << " " << (h.truth_fallback ? 1 : 0) << " "
       << h.quality_unmet_tasks << " " << (h.empty_batch ? 1 : 0) << " "
-      << h.quarantined_batches << " " << h.shard_count << " "
-      << h.sharded_truth_iterations << " " << h.greedy_selections << " "
+      << h.quarantined_batches << " " << h.domain_count << " "
+      << h.truth_iterations << " " << h.greedy_selections << " "
       << h.greedy_gain_evaluations << " " << h.greedy_heap_pops;
   // Optional trust-defense trailer (DESIGN.md §14): only written when a
   // ledger produced counters, so a defense-free campaign's v2 extra block
@@ -214,7 +214,7 @@ core::StepHealth read_step_health(std::istream& in, int version) {
   if (version >= 2) {
     // v2 appended the deterministic work counters; a v1 block simply
     // resumes them from zero.
-    if (!(in >> h.shard_count >> h.sharded_truth_iterations >>
+    if (!(in >> h.domain_count >> h.truth_iterations >>
           h.greedy_selections >> h.greedy_gain_evaluations >>
           h.greedy_heap_pops)) {
       bad_extra("work counters");

@@ -69,21 +69,6 @@ void ExpertiseStore::decayed_snapshot(double alpha, const Matrix& add_num,
   }
 }
 
-void ExpertiseStore::fill_task_expertise(
-    std::span<const DomainIndex> task_domain, Matrix& out) const {
-  for (const DomainIndex k : task_domain) {
-    require(k < domain_count(),
-            "ExpertiseStore::fill_task_expertise: domain out of range");
-  }
-  const Matrix plane = snapshot();
-  out.assign(user_count(), task_domain.size());
-  for (UserId i = 0; i < user_count(); ++i) {
-    const std::span<const double> from = plane.row(i);
-    const std::span<double> to = out.row(i);
-    for (std::size_t j = 0; j < to.size(); ++j) to[j] = from[task_domain[j]];
-  }
-}
-
 std::span<const UserId> ExpertiseStore::top_experts(DomainIndex domain,
                                                     std::size_t k) const {
   require(domain < domain_count(),

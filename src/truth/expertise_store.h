@@ -44,12 +44,6 @@ class ExpertiseStore {
   void decayed_snapshot(double alpha, const Matrix& add_num,
                         const Matrix& add_den, Matrix& out) const;
 
-  // Expands domain expertise into per-task columns: out(i, j) =
-  // expertise(i, task_domain[j]), reshaping `out` to user_count x |tasks|.
-  // Gathered from one snapshot(); the plane the allocators consume.
-  void fill_task_expertise(std::span<const DomainIndex> task_domain,
-                           Matrix& out) const;
-
   // The `k` users with the highest expertise in `domain` (ties broken by
   // user id), most expert first. Backed by a reusable rank index — no
   // per-call allocation or iota fill; the returned span is valid until the

@@ -147,7 +147,7 @@ class TrustLedger {
   // Allocation discount: scales each user's expertise row by
   // max(trust, alloc_floor) (quarantined users get the floor), so
   // low-trust identities stop winning budget. `expertise` is the
-  // user-major (n × tasks) plane of AllocationProblem.
+  // user-major (n × domains) plane of AllocationProblem.
   void discount_expertise(Matrix& expertise) const;
 
   // kTrimmedV1 pre-estimation filter: drops quarantined users' reports,

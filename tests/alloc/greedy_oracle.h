@@ -1,6 +1,7 @@
 // Test-only reference for the max-quality greedy: a literal Algorithm 1
 // (paper §5.1) with a full O(n·m) efficiency scan per selection, scalar Φ,
-// no caches and no class plane. The equivalence suites compare
+// no caches and no class plane; u_ij is read per cell through the task's
+// column (AllocationProblem::u). The equivalence suites compare
 // greedy_extend / MaxQualityAllocator against it pair for pair.
 #ifndef ETA2_TESTS_ALLOC_GREEDY_ORACLE_H
 #define ETA2_TESTS_ALLOC_GREEDY_ORACLE_H
@@ -29,7 +30,7 @@ inline std::size_t naive_greedy(const AllocationProblem& p,
   const std::size_t n = p.user_count();
   const std::size_t m = p.task_count();
   const auto prob = [&](UserId i, TaskId j) {
-    return stats::accuracy_probability(p.expertise(i, j), options.epsilon);
+    return stats::accuracy_probability(p.u(i, j), options.epsilon);
   };
   GreedyStats counters;
   std::vector<double> remaining(n);

@@ -6,8 +6,11 @@
 // evaluating far fewer gains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -279,6 +282,223 @@ TEST(LazyGreedyTest, EvaluatesFarFewerGainsThanRescan) {
   expect_identical(lazy.allocation, oracle.allocation);
   EXPECT_GT(lazy.stats.heap_pops, 0u);
   EXPECT_LE(5 * lazy.stats.gain_evaluations, 69720u);
+}
+
+// --- Oracle stress cases: the exact-invalidation heap, the exhausted-user
+// links and the column map, each driven where it bites. Every case runs
+// both efficiency modes against the literal Algorithm 1. ---
+
+void expect_both_modes_match(const AllocationProblem& p, const char* what) {
+  for (const bool per_time : {true, false}) {
+    GreedyOptions options;
+    options.efficiency_per_time = per_time;
+    expect_lazy_matches_oracle(p, options, what);
+  }
+}
+
+std::size_t pick(Rng& rng, std::size_t count) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+}
+
+// Users whose remaining capacity fits no task any more.
+std::size_t exhausted_users(const AllocationProblem& p, const Allocation& a) {
+  const double min_time =
+      *std::min_element(p.task_time.begin(), p.task_time.end());
+  std::size_t count = 0;
+  for (UserId i = 0; i < p.user_count(); ++i) {
+    if (p.user_capacity[i] - a.used_time(i) < min_time) ++count;
+  }
+  return count;
+}
+
+// K expertise columns and a task → column map, as the step pipeline hands
+// them over (the n × D snapshot plus the tasks' domains).
+AllocationProblem mapped_problem(std::uint64_t seed, std::size_t users,
+                                 std::size_t tasks, std::size_t columns) {
+  AllocationProblem p = random_problem(seed, users, tasks);
+  Rng rng(seed * 15485863 + 11);
+  p.expertise.assign(users, columns);
+  for (double& u : p.expertise.data()) u = rng.uniform(0.0, 4.0);
+  p.task_column.resize(tasks);
+  for (std::size_t& c : p.task_column) c = pick(rng, columns);
+  return p;
+}
+
+// The same problem with every task's column copied out: n × m, no map.
+AllocationProblem dense_copy(const AllocationProblem& p) {
+  AllocationProblem dense = p;
+  dense.task_column.clear();
+  dense.expertise.assign(p.user_count(), p.task_count());
+  for (UserId i = 0; i < p.user_count(); ++i) {
+    for (TaskId j = 0; j < p.task_count(); ++j) {
+      dense.expertise(i, j) = p.u(i, j);
+    }
+  }
+  return dense;
+}
+
+TEST(LazyGreedyStressTest, TightCapacitiesExhaustMostUsers) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    AllocationProblem p = random_problem(seed, 12, 30);
+    Rng rng(seed + 100);
+    for (double& c : p.user_capacity) c = rng.uniform(0.5, 3.0);
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    expect_both_modes_match(p, "tight capacities");
+    const RunResult oracle = run_oracle(p, {});
+    EXPECT_GT(2 * exhausted_users(p, oracle.allocation), p.user_count());
+  }
+}
+
+TEST(LazyGreedyStressTest, TaskTimesStraddleTheMinimum) {
+  // Exact binary times and capacities, so remaining capacity lands exactly
+  // on the minimum time (still feasible) or one step below it.
+  const double times[] = {1.0, std::nextafter(1.0, 2.0), 1.25, 1.5, 2.0};
+  const double capacities[] = {0.75, 1.0, 2.0, 2.25, 2.5, 3.0, 4.0};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    AllocationProblem p = random_problem(seed, 10, 24);
+    Rng rng(seed + 200);
+    for (double& t : p.task_time) t = times[pick(rng, std::size(times))];
+    for (double& c : p.user_capacity) {
+      c = capacities[pick(rng, std::size(capacities))];
+    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    expect_both_modes_match(p, "times straddling the minimum");
+  }
+}
+
+TEST(LazyGreedyStressTest, PrepopulatedUsersBelowTheMinimum) {
+  // Half the users enter the call with less remaining capacity than any
+  // task needs; the other half hold a pair that the call must skip.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    AllocationProblem p = random_problem(seed, 10, 16);
+    Rng rng(seed + 300);
+    for (double& t : p.task_time) t = rng.uniform(1.0, 2.0);
+    const double min_time =
+        *std::min_element(p.task_time.begin(), p.task_time.end());
+    Allocation lazy(10, 16);
+    Allocation oracle(10, 16);
+    for (UserId i = 0; i < 10; ++i) {
+      const TaskId j = pick(rng, 16);
+      const double slack = i % 2 == 0 ? 0.5 * min_time : 3.0;
+      p.user_capacity[i] = p.task_time[j] + slack;
+      lazy.assign(i, j, p.task_time[j], p.cost_of(j));
+      oracle.assign(i, j, p.task_time[j], p.cost_of(j));
+    }
+    ASSERT_EQ(exhausted_users(p, oracle), 5u);
+    for (const bool per_time : {true, false}) {
+      GreedyOptions options;
+      options.efficiency_per_time = per_time;
+      Allocation lazy_run = lazy;
+      Allocation oracle_run = oracle;
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " per_time "
+                                      << per_time);
+      EXPECT_EQ(greedy_extend(p, options, lazy_run),
+                naive_greedy(p, options, oracle_run));
+      expect_identical(lazy_run, oracle_run);
+    }
+  }
+}
+
+TEST(LazyGreedyStressTest, IntegerExpertiseForcesTies) {
+  // Few distinct p values, equal times: efficiencies tie across users and
+  // tasks at every step, so every lowest-index rule is exercised.
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    AllocationProblem p = random_problem(seed, 9, 20);
+    Rng rng(seed + 400);
+    for (double& u : p.expertise.data()) {
+      u = static_cast<double>(rng.uniform_int(0, 3));
+    }
+    for (double& t : p.task_time) t = rng.bernoulli(0.5) ? 1.0 : 2.0;
+    for (double& c : p.user_capacity) {
+      c = static_cast<double>(rng.uniform_int(1, 5));
+    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    expect_both_modes_match(p, "integer expertise");
+  }
+}
+
+TEST(LazyGreedyStressTest, ColumnMappedProblemsMatchTheirDenseCopies) {
+  // A mapped problem must select exactly what the literal algorithm does,
+  // and what its own dense copy does, with the same work counters: the map
+  // only decides which tasks share a plane column.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const AllocationProblem p = mapped_problem(seed, 11, 26, 4);
+    const AllocationProblem dense = dense_copy(p);
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    expect_both_modes_match(p, "mapped");
+    for (const bool per_time : {true, false}) {
+      GreedyOptions options;
+      options.efficiency_per_time = per_time;
+      const RunResult mapped_run = run(p, options);
+      const RunResult dense_run = run(dense, options);
+      expect_identical(mapped_run.allocation, dense_run.allocation);
+      EXPECT_EQ(mapped_run.stats.gain_evaluations,
+                dense_run.stats.gain_evaluations);
+      EXPECT_EQ(mapped_run.stats.heap_pops, dense_run.stats.heap_pops);
+    }
+    // Unreferenced columns (a domain with no task in the batch) are
+    // harmless, and the map may skip column 0 entirely.
+    AllocationProblem sparse = p;
+    for (std::size_t& c : sparse.task_column) c = c == 0 ? 3 : c;
+    expect_both_modes_match(sparse, "unreferenced column");
+  }
+}
+
+TEST(LazyGreedyStressTest, MinCostZeroColumnMatchesAcrossRounds) {
+  // Algorithm 2's working copy: one all-zero column appended, and the tasks
+  // that passed point at it, over capped rounds extending one allocation.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    AllocationProblem p = mapped_problem(seed, 9, 18, 3);
+    Matrix widened(9, 4, 0.0);
+    for (UserId i = 0; i < 9; ++i) {
+      for (std::size_t c = 0; c < 3; ++c) widened(i, c) = p.expertise(i, c);
+    }
+    p.expertise = widened;
+    GreedyOptions capped;
+    capped.efficiency_per_time = seed % 2 == 0;
+    capped.cost_cap = 4.0;
+    Allocation lazy(9, 18);
+    Allocation oracle(9, 18);
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " round "
+                                      << round);
+      EXPECT_EQ(greedy_extend(p, capped, lazy),
+                naive_greedy(p, capped, oracle));
+      expect_identical(lazy, oracle);
+      // The round's quality check: every third still-open task passes.
+      for (TaskId j = static_cast<TaskId>(round); j < 18; j += 3) {
+        p.task_column[j] = 3;
+      }
+    }
+  }
+}
+
+TEST(LazyGreedyTest, PassObjectiveEqualsAllocationObjectiveBitwise) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    for (const AllocationProblem& p :
+         {random_problem(seed, 9, 14), mapped_problem(seed, 12, 30, 5)}) {
+      for (const bool per_time : {true, false}) {
+        GreedyOptions options;
+        options.efficiency_per_time = per_time;
+        options.cost_cap = seed % 3 == 0 ? 5.0 : options.cost_cap;
+        // Prepopulated: the objective counts the pairs held on entry too.
+        Allocation allocation(p.user_count(), p.task_count());
+        allocation.assign(0, 0, p.task_time[0], p.cost_of(0));
+        GreedyStats stats;
+        greedy_extend(p, options, allocation, &stats);
+        EXPECT_EQ(bits(stats.objective),
+                  bits(allocation_objective(p, allocation, options.epsilon)));
+      }
+      GreedyStats stats;
+      const MaxQualityAllocator allocator;
+      const Allocation allocation = allocator.allocate(p, &stats);
+      EXPECT_EQ(bits(stats.objective),
+                bits(allocation_objective(p, allocation, 0.1)));
+    }
+  }
 }
 
 TEST(LazyGreedyTest, AllocatorUsesLazyByDefaultAndMatchesRescan) {

@@ -160,7 +160,8 @@ MinCostRun min_cost_in_step(const Eta2Config& config, const CollectFn& collect,
   ctx.task_domains.resize(kTasks);
   for (std::size_t j = 0; j < kTasks; ++j) ctx.task_domains[j] = j % kDomains;
   ctx.domain_count = kDomains;
-  store.fill_task_expertise(ctx.task_domains, ctx.problem.expertise);
+  ctx.problem.expertise = store.snapshot();
+  ctx.problem.task_column = ctx.task_domains;
   Rng rng(17);
   ctx.problem.task_time.resize(kTasks);
   for (double& t : ctx.problem.task_time) t = rng.uniform(0.5, 2.0);

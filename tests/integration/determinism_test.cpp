@@ -185,6 +185,42 @@ TEST(DeterminismTest, AllocationObjectiveBitIdentical) {
       "allocation objective");
 }
 
+TEST(DeterminismTest, ConcurrentHalfApproxPassesBitIdentical) {
+  // 80 × 240 pairs is above MaxQualityAllocator's concurrency threshold
+  // (2^14 pairs), so at 2+ lanes its two ½-approximation passes run on
+  // separate lanes over one shared class plane; under TSan this is the
+  // race check for that sharing. Columns are per domain, as in a step.
+  const std::size_t users = 80;
+  const std::size_t tasks = 240;
+  const std::size_t domains = 6;
+  Rng rng(9);
+  alloc::AllocationProblem problem;
+  problem.expertise.assign(users, domains);
+  for (double& u : problem.expertise.data()) u = rng.uniform(0.1, 3.0);
+  problem.task_column.resize(tasks);
+  for (std::size_t j = 0; j < tasks; ++j) problem.task_column[j] = j % domains;
+  problem.task_time.resize(tasks);
+  for (double& t : problem.task_time) t = rng.uniform(0.2, 3.0);
+  problem.user_capacity.assign(users, 9.0);
+  check_determinism(
+      [&] {
+        alloc::GreedyStats stats;
+        const auto allocation =
+            alloc::MaxQualityAllocator().allocate(problem, &stats);
+        std::vector<double> signature{
+            stats.objective, static_cast<double>(stats.selections),
+            static_cast<double>(stats.gain_evaluations),
+            static_cast<double>(stats.heap_pops)};
+        for (std::size_t j = 0; j < tasks; ++j) {
+          for (const auto i : allocation.users_of(j)) {
+            signature.push_back(static_cast<double>(i));
+          }
+        }
+        return signature;
+      },
+      "concurrent ½-approximation passes");
+}
+
 TEST(DeterminismTest, SeedSweepBitIdentical) {
   sim::SyntheticOptions options;
   options.tasks = 40;

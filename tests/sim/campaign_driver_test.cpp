@@ -152,7 +152,7 @@ TEST_F(CampaignDriverFenceTest, CollapsedDomains) {
   options.collapse_domains = true;
   const SimulationResult run =
       expect_same_campaign(small_synthetic(19), "eta2", options);
-  EXPECT_EQ(run.health.shard_count, 1u);  // one domain seen by the server
+  EXPECT_EQ(run.health.domain_count, 1u);  // one domain seen by the server
 }
 
 TEST_F(CampaignDriverFenceTest, AttacksWithNanFaultsUnderTrimmedTier) {

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/durable_runner.h"
 #include "io/snapshot.h"
@@ -31,8 +32,8 @@ core::StepHealth sample_health() {
   h.quality_unmet_tasks = 6;
   h.empty_batch = true;
   h.quarantined_batches = 1;
-  h.shard_count = 4;
-  h.sharded_truth_iterations = 250;
+  h.domain_count = 4;
+  h.truth_iterations = 250;
   h.greedy_selections = 48;
   h.greedy_gain_evaluations = 910;
   h.greedy_heap_pops = 333;
@@ -65,8 +66,8 @@ void expect_equal(const core::StepHealth& a, const core::StepHealth& b) {
   EXPECT_EQ(a.quality_unmet_tasks, b.quality_unmet_tasks);
   EXPECT_EQ(a.empty_batch, b.empty_batch);
   EXPECT_EQ(a.quarantined_batches, b.quarantined_batches);
-  EXPECT_EQ(a.shard_count, b.shard_count);
-  EXPECT_EQ(a.sharded_truth_iterations, b.sharded_truth_iterations);
+  EXPECT_EQ(a.domain_count, b.domain_count);
+  EXPECT_EQ(a.truth_iterations, b.truth_iterations);
   EXPECT_EQ(a.greedy_selections, b.greedy_selections);
   EXPECT_EQ(a.greedy_gain_evaluations, b.greedy_gain_evaluations);
   EXPECT_EQ(a.greedy_heap_pops, b.greedy_heap_pops);
@@ -107,8 +108,8 @@ TEST(SimExtraTest, PinnedV1BlockLoadsWithZeroShardGreedyCounters) {
   std::istringstream in("120 111 3 2 4 1 5 1 6 1 1");
   const core::StepHealth h = read_step_health(in, 1);
   core::StepHealth expected = sample_health();
-  expected.shard_count = 0;
-  expected.sharded_truth_iterations = 0;
+  expected.domain_count = 0;
+  expected.truth_iterations = 0;
   expected.greedy_selections = 0;
   expected.greedy_gain_evaluations = 0;
   expected.greedy_heap_pops = 0;
@@ -229,21 +230,15 @@ Dataset pin_dataset(std::size_t users, std::size_t tasks, int days,
   return make_synthetic(synthetic, seed);
 }
 
-TEST(SimExtraTest, DefaultCampaignV2BlockPinned) {
-  // The v2 slots after the fault counters hold the step's domain count
-  // (max over steps) and the summed truth-updater iterations; they, and the
-  // rest of the block, must not drift for a default campaign.
-  const std::string extra =
-      campaign_extra_block(pin_dataset(20, 120, 6, 17), SimOptions{}, "default");
-  ASSERT_FALSE(extra.empty());
-  EXPECT_EQ(health_line(extra),
-            "health 1542 1542 0 0 0 0 0 0 0 0 0 4 22 2558 11291 8237");
-  EXPECT_EQ(fnv1a(extra), 0x38e84681d72a79baULL) << extra;
+// `name` keeps each test's campaign directory its own (ctest runs them
+// concurrently).
+std::string default_campaign_extra(const std::string& name) {
+  return campaign_extra_block(pin_dataset(20, 120, 6, 17), SimOptions{},
+                              name);
 }
 
-TEST(SimExtraTest, DefendedCampaignV2BlockPinned) {
-  // kTrimmedV1 under attack: the warm-up step counts its iterations, the
-  // trusted steady-state update adds none, and the trust trailer follows.
+// kTrimmedV1 under attack.
+std::string defended_campaign_extra(const std::string& name) {
   SimOptions options;
   options.config.trust.tier = truth::DefenseTier::kTrimmedV1;
   options.adversary.seed = 47;
@@ -252,13 +247,70 @@ TEST(SimExtraTest, DefendedCampaignV2BlockPinned) {
   options.adversary.camouflage_fraction = 0.1;
   options.adversary.drift_fraction = 0.1;
   options.adversary.burst_step_rate = 0.3;
-  const std::string extra =
-      campaign_extra_block(pin_dataset(24, 90, 6, 31), options, "defended");
+  return campaign_extra_block(pin_dataset(24, 90, 6, 31), options, name);
+}
+
+TEST(SimExtraTest, DefaultCampaignV2BlockPinned) {
+  // The v2 slots after the fault counters hold the step's domain count
+  // (max over steps) and the summed truth-updater iterations; they, and the
+  // rest of the block, must not drift for a default campaign.
+  const std::string extra = default_campaign_extra("default");
   ASSERT_FALSE(extra.empty());
   EXPECT_EQ(health_line(extra),
-            "health 1771 1771 0 0 0 0 0 0 0 0 0 4 9 2933 12137 9116 T 3 0 0 0 "
-            "0 18 8 0 1 4 2 10 5 33 89");
-  EXPECT_EQ(fnv1a(extra), 0x09e222fb408df95aULL) << extra;
+            "health 1542 1542 0 0 0 0 0 0 0 0 0 4 22 2558 6252 3168");
+  EXPECT_EQ(fnv1a(extra), 0x55c758da99d1dccbULL) << extra;
+}
+
+TEST(SimExtraTest, DefendedCampaignV2BlockPinned) {
+  // The warm-up step counts its iterations, the trusted steady-state update
+  // adds none, and the trust trailer follows.
+  const std::string extra = defended_campaign_extra("defended");
+  ASSERT_FALSE(extra.empty());
+  EXPECT_EQ(health_line(extra),
+            "health 1771 1771 0 0 0 0 0 0 0 0 0 4 9 2933 6464 3294 T 3 0 0 "
+            "0 0 18 8 0 1 4 2 10 5 33 89");
+  EXPECT_EQ(fnv1a(extra), 0xc19a62baafcf12a0ULL) << extra;
+}
+
+// The block with the greedy's gain-evaluation and heap-pop counters (the
+// last two v2 work-counter slots) of every "health" and "dh" line replaced
+// by "*"; every other byte is kept.
+std::string mask_greedy_work(const std::string& extra) {
+  std::string out;
+  std::istringstream lines(extra);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> words;
+    std::size_t begin = 0;
+    for (std::size_t end; (end = line.find(' ', begin)) != std::string::npos;
+         begin = end + 1) {
+      words.push_back(line.substr(begin, end - begin));
+    }
+    words.push_back(line.substr(begin));
+    if ((words[0] == "health" || words[0] == "dh") && words.size() >= 17) {
+      words[15] = "*";
+      words[16] = "*";
+    }
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      out += (w == 0 ? "" : " ") + words[w];
+    }
+    if (!lines.eof()) out += '\n';
+  }
+  return out;
+}
+
+TEST(SimExtraTest, CampaignV2BlocksMatchParentOutsideGreedyWork) {
+  // How much work a greedy pick costs may change, what it picks may not:
+  // with the two greedy work counters masked, both campaigns' blocks hash
+  // exactly as before exact CELF invalidation (the truth, costs, health
+  // and trust trailers are the same bytes). The constants hash the masked
+  // blocks of the engine that pushed every picked task back unrefreshed
+  // (default 11291 evaluations / 8237 pops, defended 12137 / 9116).
+  EXPECT_EQ(fnv1a(mask_greedy_work(default_campaign_extra("default_masked"))),
+            0xb7405d2cafaa67dfULL);
+  EXPECT_EQ(
+      fnv1a(mask_greedy_work(defended_campaign_extra("defended_masked"))),
+      0x02b4b6824cf50416ULL);
 }
 
 }  // namespace

@@ -69,8 +69,8 @@ TEST(SimulateTest, ShardObservabilitySurfacesOnResultHealth) {
   const Dataset d = make_synthetic(small_synthetic(), 5);
   const SimOptions options;
   const SimulationResult r = simulate(d, "eta2", options, 5);
-  EXPECT_GT(r.health.shard_count, 0u);
-  EXPECT_GT(r.health.sharded_truth_iterations, 0u);
+  EXPECT_GT(r.health.domain_count, 0u);
+  EXPECT_GT(r.health.truth_iterations, 0u);
   EXPECT_GT(r.health.greedy_selections, 0u);
   EXPECT_GT(r.health.greedy_gain_evaluations, 0u);
   EXPECT_GT(r.health.greedy_heap_pops, 0u);
