@@ -13,7 +13,9 @@ void AllocationProblem::validate() const {
   const std::size_t m = task_count();
   require(user_capacity.size() == n, "AllocationProblem: capacity size != n");
   if (task_column.empty()) {
-    require(expertise.cols() == m || (n == 0 && expertise.cols() == 0),
+    // With no tasks no column is referenced, so any K is consistent.
+    require(m == 0 || expertise.cols() == m ||
+                (n == 0 && expertise.cols() == 0),
             "AllocationProblem: expertise cols != m");
   } else {
     require(task_column.size() == m,

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <string>
 
+#include "clustering/distance_panel.h"
 #include "clustering/domain_moments.h"
 #include "clustering/linkage.h"
 #include "common/check.h"
@@ -14,45 +15,6 @@
 #include "text/pairword.h"
 
 namespace eta2::clustering {
-namespace {
-
-// Exact inline mirror of text::task_distance over two rows of a flattened
-// row-major buffer: identical operation order (ascending index within each
-// half, then 0.5·(q + t)), with the per-pair validation hoisted to the
-// caller — so results are bit-identical to task_distance on the same data.
-double task_distance_rows(const double* a, const double* b, std::size_t dim) {
-  const std::size_t half = dim / 2;
-  double q = 0.0;
-  for (std::size_t k = 0; k < half; ++k) {
-    const double d = a[k] - b[k];
-    q += d * d;
-  }
-  double t = 0.0;
-  for (std::size_t k = half; k < dim; ++k) {
-    const double d = a[k] - b[k];
-    t += d * d;
-  }
-  return 0.5 * (q + t);
-}
-
-// Gathers per-vector heap storage into one contiguous n × dim buffer so the
-// distance kernels stream rows instead of chasing Embedding pointers.
-std::vector<double> flatten_points(std::span<const text::Embedding> points,
-                                   std::size_t dim) {
-  std::vector<double> flat(points.size() * dim);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    std::copy(points[i].begin(), points[i].end(),
-              flat.begin() + static_cast<std::ptrdiff_t>(i * dim));
-  }
-  return flat;
-}
-
-// Tile edge for the blocked pairwise fill: a 32-row block of 64-dim
-// embeddings is 16 KiB, so the j-block stays L1-resident while every row of
-// the i-block sweeps it (DESIGN.md §11).
-constexpr std::size_t kDistanceBlock = 32;
-
-}  // namespace
 
 SymmetricMatrix pairwise_task_distances(
     std::span<const text::Embedding> points) {
@@ -68,28 +30,23 @@ SymmetricMatrix pairwise_task_distances(
   require(bad == 0, "pairwise_task_distances: dimension mismatch");
   require(dim % 2 == 0,
           "pairwise_task_distances: expected concatenated [V_Q; V_T]");
-  const std::vector<double> flat = flatten_points(points, dim);
-  // Cache-blocked lower triangle: i-blocks fan out over the parallel
-  // runtime (disjoint rows ⇒ disjoint writes), and within one i-block the
-  // j-block tile is reused by every row while it is still hot. Cell values
-  // are a pure function of (i, j), so the tiling order is free.
-  const std::size_t i_blocks = (n + kDistanceBlock - 1) / kDistanceBlock;
-  parallel::parallel_for(i_blocks, 1, [&](std::size_t ib) {
-    const std::size_t i_begin = ib * kDistanceBlock;
-    const std::size_t i_end = std::min(i_begin + kDistanceBlock, n);
-    for (std::size_t j_begin = 0; j_begin < i_end;
-         j_begin += kDistanceBlock) {
-      const std::size_t j_cap = std::min(j_begin + kDistanceBlock, i_end);
-      for (std::size_t i = i_begin; i < i_end; ++i) {
-        const double* row = flat.data() + i * dim;
-        const std::size_t j_end = std::min(j_cap, i);
-        for (std::size_t j = j_begin; j < j_end; ++j) {
-          dist.set_unchecked(
-              i, j, task_distance_rows(row, flat.data() + j * dim, dim));
+  std::vector<const double*> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = points[i].data();
+  // One panel of kPanelRows rows per chunk, swept against every row before
+  // its last. Chunks own disjoint rows of the lower triangle, and each cell
+  // is a pure function of (i, j), so any thread count gives the same bits.
+  parallel::parallel_for_chunks(
+      n, kPanelRows, [&](std::size_t begin, std::size_t end) {
+        const std::span<const double* const> all(rows);
+        std::vector<double> strip((end - 1) * kPanelRows);
+        panel_distances(all.subspan(begin, end - begin), all.first(end - 1),
+                        dim, strip);
+        for (std::size_t i = begin; i < end; ++i) {
+          for (std::size_t j = 0; j < i; ++j) {
+            dist.set_unchecked(i, j, strip[j * kPanelRows + (i - begin)]);
+          }
         }
-      }
-    }
-  });
+      });
   return dist;
 }
 
@@ -194,7 +151,6 @@ ClusterUpdate DynamicClusterer::add_tasks(
   dim_ = dim;
   for (const auto& v : vectors) points_.insert(points_.end(), v.begin(), v.end());
   point_domain_.resize(total, 0);
-  const double* rows = points_.data();
 
   // Units for this round: one unit per existing live domain (ascending id;
   // live_domains_ still describes the pre-batch points), then one singleton
@@ -215,31 +171,41 @@ ClusterUpdate DynamicClusterer::add_tasks(
 
   // Fused pass: each new × earlier distance is evaluated once and feeds the
   // d* max, its singleton × domain sum (added in ascending member index) or
-  // its singleton × singleton cell. Each new row owns its sums and its row
-  // of the unit matrix, and the max folds fixed chunks in index order, so
-  // the result is bit-identical at any thread count.
+  // its singleton × singleton cell. A chunk is one panel of up to
+  // kPanelRows new rows, swept against every row before its last; each new
+  // row owns its sums and its row of the unit matrix, and the max folds
+  // fixed chunks in index order, so the result is bit-identical at any
+  // thread count.
   SymmetricMatrix dist(n_units);
+  std::vector<const double*> rows(total);
+  for (std::size_t p = 0; p < total; ++p) rows[p] = points_.data() + p * dim;
   struct RowFold {
     double max = 0.0;
     std::size_t evaluations = 0;
   };
   const RowFold fold = parallel::parallel_reduce(
-      batch, 4, RowFold{},
+      batch, kPanelRows, RowFold{},
       [&](std::size_t begin, std::size_t end) {
         RowFold local;
+        const std::span<const double* const> all(rows);
+        const std::size_t first = old_count + begin;
+        const std::size_t swept = old_count + end - 1;
+        std::vector<double> strip(swept * kPanelRows);
+        panel_distances(all.subspan(first, end - begin), all.first(swept),
+                        dim, strip);
         std::vector<double> sums(existing_units);
         for (std::size_t t = begin; t < end; ++t) {
           const std::size_t i = old_count + t;
           const std::size_t u = existing_units + t;
-          const double* row = rows + i * dim;
+          const double* lane = strip.data() + (t - begin);
           std::fill(sums.begin(), sums.end(), 0.0);
           for (std::size_t j = 0; j < old_count; ++j) {
-            const double d = task_distance_rows(row, rows + j * dim, dim);
+            const double d = lane[j * kPanelRows];
             local.max = std::max(local.max, d);
             sums[unit_of[j]] += d;
           }
           for (std::size_t j = old_count; j < i; ++j) {
-            const double d = task_distance_rows(row, rows + j * dim, dim);
+            const double d = lane[j * kPanelRows];
             local.max = std::max(local.max, d);
             dist.set_unchecked(u, existing_units + (j - old_count), d);
           }

@@ -61,7 +61,10 @@ SimulationResult simulate_baseline(const Dataset& dataset,
     core::StepContext ctx;
     ctx.rng = &rng;
     ctx.user_reliability = latest.reliability;
-    ctx.problem.expertise.assign(n, ids.size(), 0.0);
+    // Neither baseline allocator reads expertise: one zero column that
+    // every task maps to keeps the problem valid at O(n) per day.
+    ctx.problem.expertise.assign(n, 1, 0.0);
+    ctx.problem.task_column.assign(ids.size(), 0);
     ctx.problem.user_capacity = driver.capacities();
     ctx.problem.task_time.reserve(ids.size());
     ctx.problem.task_cost.reserve(ids.size());

@@ -36,6 +36,24 @@ TEST(AllocationProblemTest, ValidatesShapes) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
+// An empty day maps no task, so the plane's column count is free: the
+// baseline simulation hands over one zero column with an empty task_column.
+TEST(AllocationProblemTest, EmptyDayAcceptsAnyColumnCount) {
+  AllocationProblem p;
+  p.expertise.assign(3, 1, 0.0);
+  p.user_capacity = {2.0, 2.0, 2.0};
+  EXPECT_NO_THROW(p.validate());
+  p.expertise.assign(3, 5, 0.0);
+  EXPECT_NO_THROW(p.validate());
+  // One task: the empty map is the dense form again, so K must equal m...
+  p.task_time = {1.0};
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  // ...unless the task is mapped to a column that exists.
+  p.task_column = {4};
+  EXPECT_NO_THROW(p.validate());
+  EXPECT_EQ(p.column_of(0), 4u);
+}
+
 TEST(AllocationProblemTest, DefaultCostIsOne) {
   const AllocationProblem p = small_problem();
   EXPECT_DOUBLE_EQ(p.cost_of(0), 1.0);

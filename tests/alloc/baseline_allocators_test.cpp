@@ -162,6 +162,41 @@ TEST(ReliabilityGreedyTest, CapacityZeroUserGetsNothing) {
   EXPECT_GT(a.used_time(1), 0.0);
 }
 
+// simulate_baseline's problem: one zero column that every task maps to.
+// Neither allocator reads expertise, so it allocates what the dense n × m
+// zero plane gives, and an empty day (no tasks) is still a valid problem.
+TEST(BaselineAllocatorsTest, ZeroColumnProblemMatchesDenseZeroPlane) {
+  for (const std::size_t tasks : {0u, 1u, 7u}) {
+    AllocationProblem dense = uniform_problem(5, tasks, 1.5, 4.0);
+    dense.expertise.assign(5, tasks, 0.0);
+    AllocationProblem mapped = dense;
+    mapped.expertise.assign(5, 1, 0.0);
+    mapped.task_column.assign(tasks, 0);
+    const std::vector<double> reliability = {0.5, 0.9, 0.1, 0.7, 0.3};
+    const auto pairs = [tasks](const Allocation& a) {
+      std::vector<std::vector<UserId>> out;
+      for (TaskId j = 0; j < tasks; ++j) {
+        out.emplace_back(a.users_of(j).begin(), a.users_of(j).end());
+      }
+      return out;
+    };
+    Rng rng_dense(11);
+    Rng rng_mapped(11);
+    const Allocation random_dense =
+        RandomAllocator().allocate(dense, rng_dense);
+    const Allocation random_mapped =
+        RandomAllocator().allocate(mapped, rng_mapped);
+    EXPECT_EQ(pairs(random_mapped), pairs(random_dense)) << tasks << " tasks";
+    EXPECT_EQ(rng_mapped(), rng_dense());
+    const Allocation greedy_dense =
+        ReliabilityGreedyAllocator().allocate(dense, reliability);
+    const Allocation greedy_mapped =
+        ReliabilityGreedyAllocator().allocate(mapped, reliability);
+    EXPECT_EQ(pairs(greedy_mapped), pairs(greedy_dense)) << tasks << " tasks";
+    EXPECT_EQ(greedy_mapped.pair_count(), greedy_dense.pair_count());
+  }
+}
+
 TEST(ReliabilityGreedyTest, MaxUsersPerTaskCap) {
   const AllocationProblem p = uniform_problem(6, 2, 1.0, 2.0);
   ReliabilityGreedyAllocator::Options options;

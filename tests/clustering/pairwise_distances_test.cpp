@@ -1,7 +1,7 @@
-// Reference/rewrite gate for the cache-blocked distance kernel:
-// clustering::pairwise_task_distances must equal a per-pair
+// Reference/rewrite gate for the panel distance kernel behind
+// clustering::pairwise_task_distances: the matrix must equal a per-pair
 // text::task_distance scan bit for bit, at every thread count and on sizes
-// that leave partial 32-row blocks (n < 32, n not a multiple of 32).
+// that leave ragged panels (n not a multiple of kPanelRows).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -35,8 +35,9 @@ std::vector<text::Embedding> random_points(std::size_t n, std::size_t dim,
 TEST(PairwiseDistancesTest, BlockedMatchesPerPairTaskDistanceBitwise) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     parallel::set_thread_count(threads);
-    for (const std::size_t n : {0u, 1u, 2u, 7u, 31u, 32u, 33u, 64u, 95u}) {
-      for (const std::size_t dim : {2u, 6u, 64u}) {
+    for (const std::size_t n :
+         {0u, 1u, 2u, 3u, 4u, 5u, 7u, 9u, 31u, 32u, 33u, 64u, 95u}) {
+      for (const std::size_t dim : {2u, 6u, 64u, 66u}) {
         const auto points = random_points(n, dim, n * 131 + dim);
         const SymmetricMatrix blocked = pairwise_task_distances(points);
         ASSERT_EQ(blocked.size(), n);
