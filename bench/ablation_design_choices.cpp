@@ -37,7 +37,9 @@ int main(int argc, char** argv) {
        [](eta2::sim::SimOptions& o) { o.collapse_domains = true; },
        /*survey_only=*/false, /*synthetic_only=*/true},
       {"whole-description embedding (no pair-word)",
-       [](eta2::sim::SimOptions& o) { o.config.use_pairword = false; },
+       [](eta2::sim::SimOptions& o) {
+         o.config.domain_identifier = "phrase-clustering";
+       },
        /*survey_only=*/true},
       {"no 1/2-approx extra pass",
        [](eta2::sim::SimOptions& o) { o.config.half_approx_pass = false; }},

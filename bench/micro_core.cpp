@@ -1,20 +1,18 @@
 // Perf-smoke harness: micro-benchmarks of the kernels behind the hot
 // campaign stages.
 //
-// Times each kernel — the pairwise distance matrix, the multi-round domain
-// identification behind SFV steps, one MLE sweep, and the max-quality greedy
-// on two expertise layouts — serial vs. the parallel runtime, verifies the
-// outputs are bit-identical, and writes BENCH_core.json (median-of-reps
-// ns/op, speedup, machine info, the configured git commit and the exact
-// argv). The distance matrix also records a before/after column (naive
-// per-pair scan vs the panel kernel, bitwise-checked), the
-// identification rounds their distance-evaluation count, and the greedy its
-// gain-evaluation counters, so the asymptotic wins are visible in the
-// trajectory, not just wall-clock.
+// Times each kernel — the multi-round domain identification behind SFV
+// steps, one MLE sweep, and the max-quality greedy on two expertise
+// layouts — serial vs. the parallel runtime, verifies the outputs are
+// bit-identical, and writes BENCH_core.json (median-of-reps ns/op, speedup,
+// machine info, the configured git commit and the exact argv). The
+// identification rounds also record their distance-evaluation count, and
+// the greedy its gain-evaluation counters, so the asymptotic wins are
+// visible in the trajectory, not just wall-clock.
 //
 //   micro_core [--out=BENCH_core.json] [--reps=3] [--threads=N] [--quick]
 //
-// Exits 1 if any serial/parallel or naive/panel pair differs bitwise.
+// Exits 1 if any serial/parallel pair differs bitwise.
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
@@ -31,12 +29,10 @@
 
 #include "alloc/max_quality.h"
 #include "clustering/dynamic_clusterer.h"
-#include "clustering/linkage.h"
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "io/snapshot.h"
-#include "text/pairword.h"
 #include "truth/eta2_mle.h"
 
 namespace {
@@ -52,8 +48,8 @@ struct KernelTiming {
   double serial_ns = 0.0;
   double parallel_ns = 0.0;
   bool bit_identical = false;
-  // Kernel-specific before/after columns and work counters, emitted verbatim
-  // as extra JSON fields ({key, raw value} — the value is already JSON).
+  // Kernel-specific work counters, emitted verbatim as extra JSON fields
+  // ({key, raw value} — the value is already JSON).
   std::vector<std::pair<std::string, std::string>> extra;
 };
 
@@ -61,9 +57,9 @@ struct Kernel {
   std::string name;
   std::size_t scale = 0;  // dominant problem size (for the report)
   std::function<std::vector<double>()> run;
-  // Optional: measures kernel-specific before/after numbers (run serially,
-  // after the main timing) and appends them to the timing's extra fields.
-  std::function<void(int, KernelTiming&)> extras;
+  // Optional: measures kernel-specific work counters (run serially, after
+  // the main timing) and appends them to the timing's extra fields.
+  std::function<void(KernelTiming&)> extras;
 };
 
 // Median-of-reps: robust to one-off scheduling noise in both directions,
@@ -86,19 +82,6 @@ double time_median_ns(const std::function<std::vector<double>()>& run,
   return 0.5 * (samples[mid - 1] + samples[mid]);
 }
 
-std::string format_ns(double ns) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.0f", ns);
-  return buffer;
-}
-
-std::string format_ratio(double numerator, double denominator) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f",
-                denominator > 0.0 ? numerator / denominator : 0.0);
-  return buffer;
-}
-
 bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
@@ -108,66 +91,7 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
 std::vector<Kernel> make_kernels(bool quick) {
   std::vector<Kernel> kernels;
 
-  // 1. Pairwise task-distance matrix (feeds upgma_dendrogram): paper-scale
-  //    n tasks, pair-word vectors of dimension 64.
-  {
-    const std::size_t n = quick ? 500 : 2000;
-    const std::size_t dim = 64;
-    auto points = std::make_shared<std::vector<eta2::text::Embedding>>();
-    Rng rng(17);
-    points->reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      eta2::text::Embedding v(dim);
-      for (double& x : v) x = rng.normal();
-      points->push_back(std::move(v));
-    }
-    const auto triangle_signature = [n](
-        const eta2::clustering::SymmetricMatrix& dist) {
-      std::vector<double> signature;
-      signature.reserve(n * (n - 1) / 2);
-      for (std::size_t i = 1; i < n; ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-          signature.push_back(dist.at_unchecked(i, j));
-        }
-      }
-      return signature;
-    };
-    const auto panel = [points, triangle_signature]() {
-      return triangle_signature(
-          eta2::clustering::pairwise_task_distances(*points));
-    };
-    // Before-column reference: the scalar per-pair text::task_distance scan
-    // the panel kernel replaced. Kept here so BENCH_core.json always
-    // carries a measured before/after pair plus a bitwise check.
-    const auto naive = [points, n, triangle_signature]() {
-      eta2::clustering::SymmetricMatrix dist(n);
-      for (std::size_t i = 1; i < n; ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-          dist.set_unchecked(
-              i, j, eta2::text::task_distance((*points)[i], (*points)[j]));
-        }
-      }
-      return triangle_signature(dist);
-    };
-    kernels.push_back(Kernel{
-        "distance_matrix", n, panel,
-        [panel, naive](int reps, KernelTiming& timing) {
-          std::vector<double> naive_signature;
-          const double naive_ns = time_median_ns(naive, reps, naive_signature);
-          std::vector<double> panel_signature;
-          const double panel_ns = time_median_ns(panel, reps, panel_signature);
-          timing.extra.emplace_back("naive_ns_per_op", format_ns(naive_ns));
-          timing.extra.emplace_back("panel_ns_per_op", format_ns(panel_ns));
-          timing.extra.emplace_back("panel_speedup",
-                                    format_ratio(naive_ns, panel_ns));
-          timing.extra.emplace_back(
-              "naive_bit_identical",
-              bitwise_equal(naive_signature, panel_signature) ? "true"
-                                                              : "false");
-        }});
-  }
-
-  // 2. Domain identification: 5 DynamicClusterer rounds of 360 64-dim
+  // 1. Domain identification: 5 DynamicClusterer rounds of 360 64-dim
   //    points around 10 topics — the SFV campaign's per-day batch — so the
   //    last round pairs 360 new tasks with 1440 earlier ones.
   {
@@ -212,7 +136,7 @@ std::vector<Kernel> make_kernels(bool quick) {
           signature.push_back(clusterer.dstar());
           return signature;
         },
-        [batches](int, KernelTiming& timing) {
+        [batches](KernelTiming& timing) {
           eta2::clustering::DynamicClusterer clusterer(0.5);
           std::size_t evaluations = 0;
           for (const auto& batch : *batches) {
@@ -225,7 +149,7 @@ std::vector<Kernel> make_kernels(bool quick) {
         }});
   }
 
-  // 3. One MLE estimate (Eqs. 5–6) at paper scale.
+  // 2. One MLE estimate (Eqs. 5–6) at paper scale.
   {
     const std::size_t users = quick ? 100 : 300;
     const std::size_t tasks = quick ? 500 : 2000;
@@ -255,7 +179,7 @@ std::vector<Kernel> make_kernels(bool quick) {
         {}});
   }
 
-  // 4. Max-quality greedy allocation (Algorithm 1), on two expertise
+  // 3. Max-quality greedy allocation (Algorithm 1), on two expertise
   //    layouts: every task its own column (no class sharing — the engine's
   //    worst case), and one column per domain with the task → column map
   //    the step pipeline hands over (DESIGN.md §11).
@@ -283,7 +207,7 @@ std::vector<Kernel> make_kernels(bool quick) {
               eta2::alloc::allocation_objective(*problem, allocation, 1.0),
               static_cast<double>(allocation.pair_count())};
         },
-        [problem](int, KernelTiming& timing) {
+        [problem](KernelTiming& timing) {
           // Deterministic work counters of one per-time greedy pass on the
           // bench problem. The CELF win is asymptotic — the counters show
           // it even when wall-clock is noisy.
@@ -469,10 +393,8 @@ int run_smoke(int argc, char** argv) {
 
     timing.bit_identical = bitwise_equal(serial_signature, parallel_signature);
     if (timing.bit_identical && kernel.extras) {
-      // Before/after columns are measured on the serial lane so the
-      // comparison isolates the kernel rewrite from thread scaling.
       eta2::parallel::set_thread_count(1);
-      kernel.extras(reps, timing);
+      kernel.extras(timing);
       eta2::parallel::set_thread_count(0);
     }
     timings.push_back(timing);
@@ -491,17 +413,6 @@ int run_smoke(int argc, char** argv) {
                    "perf_smoke: %s parallel output differs from serial\n",
                    timing.name.c_str());
       return 1;
-    }
-    // Each rewritten kernel carries its own before/after bitwise check —
-    // a mismatch there is the same determinism failure as above.
-    for (const auto& [key, value] : timing.extra) {
-      if (key.find("bit_identical") != std::string::npos && value != "true") {
-        std::fprintf(stderr,
-                     "perf_smoke: %s %s=false (reference and rewritten "
-                     "kernels disagree)\n",
-                     timing.name.c_str(), key.c_str());
-        return 1;
-      }
     }
   }
 

@@ -12,18 +12,11 @@ void AllocationProblem::validate() const {
   const std::size_t n = user_count();
   const std::size_t m = task_count();
   require(user_capacity.size() == n, "AllocationProblem: capacity size != n");
-  if (task_column.empty()) {
-    // With no tasks no column is referenced, so any K is consistent.
-    require(m == 0 || expertise.cols() == m ||
-                (n == 0 && expertise.cols() == 0),
-            "AllocationProblem: expertise cols != m");
-  } else {
-    require(task_column.size() == m,
-            "AllocationProblem: task_column size != m");
-    for (const std::size_t c : task_column) {
-      require(c < expertise.cols(),
-              "AllocationProblem: task column out of range");
-    }
+  require(task_column.size() == m,
+          "AllocationProblem: task_column size != m");
+  for (const std::size_t c : task_column) {
+    require(c < expertise.cols(),
+            "AllocationProblem: task column out of range");
   }
   for (const double u : expertise.data()) {
     require(u >= 0.0, "AllocationProblem: expertise must be >= 0");

@@ -17,30 +17,25 @@ using TaskId = std::size_t;
 // One allocation round's inputs.
 //
 // u_ij, user i's (estimated) expertise in task j's domain, is
-// `expertise(i, column_of(j))`: the plane holds one n-entry column per
+// `expertise(i, task_column[j])`: the plane holds one n-entry column per
 // expertise column (the step pipeline passes its n × D user × domain
 // snapshot) and `task_column` maps each task to its column. Expertise is per
 // domain (Eq. 6), so tasks of one domain share a column and the allocators
-// build their per-column work once per column, not once per task. An empty
-// `task_column` means column j is task j (the dense n × m form), the same
-// convention as an empty `task_cost` meaning all 1.0. The matrix is a single
-// contiguous row-major buffer, so allocators scan rows without pointer
-// chasing.
+// build their per-column work once per column, not once per task. The
+// matrix is a single contiguous row-major buffer, so allocators scan rows
+// without pointer chasing.
 struct AllocationProblem {
   Matrix expertise;                            // n x K, u >= 0
-  std::vector<std::size_t> task_column;        // per task, < K; empty => j
+  std::vector<std::size_t> task_column;        // per task, < K
   std::vector<double> task_time;               // t_j > 0, per task
   std::vector<double> user_capacity;           // T_i >= 0, per user
   std::vector<double> task_cost;               // c_j >= 0; empty => all 1.0
 
   [[nodiscard]] std::size_t user_count() const { return expertise.rows(); }
   [[nodiscard]] std::size_t task_count() const { return task_time.size(); }
-  [[nodiscard]] std::size_t column_of(TaskId j) const {
-    return task_column.empty() ? j : task_column[j];
-  }
   // u_ij.
   [[nodiscard]] double u(UserId i, TaskId j) const {
-    return expertise(i, column_of(j));
+    return expertise(i, task_column[j]);
   }
   [[nodiscard]] double cost_of(TaskId j) const {
     return task_cost.empty() ? 1.0 : task_cost[j];

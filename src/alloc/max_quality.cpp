@@ -59,7 +59,7 @@ class ClassPlane {
     std::vector<std::size_t> columns;
     class_of_.resize(m);
     for (TaskId j = 0; j < m; ++j) {
-      const std::size_t column = problem.column_of(j);
+      const std::size_t column = problem.task_column[j];
       if (class_of_column[column] == unseen) {
         class_of_column[column] = columns.size();
         columns.push_back(column);

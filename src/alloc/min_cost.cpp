@@ -58,17 +58,14 @@ MinCostAllocator::Result MinCostAllocator::run(
   // column and a passing task is pointed at it, so Φ(0) = 0 makes the
   // greedy's efficiency for it exactly 0. Paying for extra observers on a
   // passing task can only waste budget that a failing task needs.
-  // (A dense problem's column count is m even when it has no user rows.)
-  const std::size_t columns =
-      problem.task_column.empty() ? m : problem.expertise.cols();
+  const std::size_t columns = problem.expertise.cols();
   AllocationProblem working;
   working.expertise.assign(n, columns + 1, 0.0);
   for (UserId i = 0; i < n; ++i) {
     std::ranges::copy(problem.expertise.row(i),
                       working.expertise.row(i).begin());
   }
-  working.task_column.resize(m);
-  for (TaskId j = 0; j < m; ++j) working.task_column[j] = problem.column_of(j);
+  working.task_column = problem.task_column;
   working.task_time = problem.task_time;
   working.user_capacity = problem.user_capacity;
   working.task_cost = problem.task_cost;

@@ -1,11 +1,10 @@
 // Register-blocked task-distance kernel (paper Eq. 2) behind domain
-// identification and pairwise_task_distances. One call takes a panel of up
-// to kPanelRows rows, transposes it once into a k-major block, and sweeps
-// every earlier row once, keeping one q and one t accumulator per panel row
-// in two-wide vector lanes. Each lane performs text::task_distance's
-// operations in its order (subtract, square, add, ascending within each
-// half, then 0.5·(q + t)), so every distance has the scalar bits
-// (DESIGN.md §11).
+// identification's fused pass. One call takes a panel of up to kPanelRows
+// rows, transposes it once into a k-major block, and sweeps every earlier
+// row once, keeping one q and one t accumulator per panel row in two-wide
+// vector lanes. Each lane performs text::task_distance's operations in its
+// order (subtract, square, add, ascending within each half, then
+// 0.5·(q + t)), so every distance has the scalar bits (DESIGN.md §11).
 #ifndef ETA2_CLUSTERING_DISTANCE_PANEL_H
 #define ETA2_CLUSTERING_DISTANCE_PANEL_H
 
@@ -14,8 +13,7 @@
 
 namespace eta2::clustering {
 
-// Rows per panel: one grain-4 parallel_reduce chunk of the identification
-// pass, and one row chunk of pairwise_task_distances.
+// Rows per panel: one grain-4 parallel_reduce chunk of the fused pass.
 inline constexpr std::size_t kPanelRows = 4;
 
 // Writes strip[j·kPanelRows + r] = text::task_distance(panel row r,

@@ -12,43 +12,8 @@
 #include "common/check.h"
 #include "common/error.h"
 #include "common/parallel.h"
-#include "text/pairword.h"
 
 namespace eta2::clustering {
-
-SymmetricMatrix pairwise_task_distances(
-    std::span<const text::Embedding> points) {
-  const std::size_t n = points.size();
-  SymmetricMatrix dist(n);
-  if (n < 2) return dist;
-  // Hoisted validation: the same checks text::task_distance would apply to
-  // every pair, performed once per call instead of n(n−1)/2 times inside
-  // the parallel region.
-  const std::size_t dim = points.front().size();
-  std::size_t bad = 0;
-  for (const auto& point : points) bad += point.size() == dim ? 0u : 1u;
-  require(bad == 0, "pairwise_task_distances: dimension mismatch");
-  require(dim % 2 == 0,
-          "pairwise_task_distances: expected concatenated [V_Q; V_T]");
-  std::vector<const double*> rows(n);
-  for (std::size_t i = 0; i < n; ++i) rows[i] = points[i].data();
-  // One panel of kPanelRows rows per chunk, swept against every row before
-  // its last. Chunks own disjoint rows of the lower triangle, and each cell
-  // is a pure function of (i, j), so any thread count gives the same bits.
-  parallel::parallel_for_chunks(
-      n, kPanelRows, [&](std::size_t begin, std::size_t end) {
-        const std::span<const double* const> all(rows);
-        std::vector<double> strip((end - 1) * kPanelRows);
-        panel_distances(all.subspan(begin, end - begin), all.first(end - 1),
-                        dim, strip);
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = 0; j < i; ++j) {
-            dist.set_unchecked(i, j, strip[j * kPanelRows + (i - begin)]);
-          }
-        }
-      });
-  return dist;
-}
 
 DynamicClusterer::DynamicClusterer(double gamma) : gamma_(gamma) {
   require(gamma >= 0.0 && gamma <= 1.0, "DynamicClusterer: gamma in [0,1]");

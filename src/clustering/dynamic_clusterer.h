@@ -17,19 +17,11 @@
 #include <span>
 #include <vector>
 
-#include "clustering/linkage.h"
 #include "text/embedding.h"
 
 namespace eta2::clustering {
 
 using DomainId = std::uint32_t;
-
-// Pairwise task-distance matrix (paper Eq. 2) over a set of semantic
-// vectors. Rows are built on the parallel runtime; each cell is a pure
-// function of its two points, so the result is bit-identical to a serial
-// build for every thread count.
-[[nodiscard]] SymmetricMatrix pairwise_task_distances(
-    std::span<const text::Embedding> points);
 
 struct DomainMerge {
   DomainId kept = 0;

@@ -181,13 +181,4 @@ std::vector<std::size_t> cut_dendrogram(const std::vector<MergeStep>& dendrogram
   return labels;
 }
 
-std::vector<std::size_t> average_linkage_cluster(const SymmetricMatrix& distances,
-                                                 double threshold) {
-  const std::size_t n = distances.size();
-  if (n == 0) return {};
-  const auto dendrogram =
-      upgma_dendrogram(distances, std::vector<double>(n, 1.0));
-  return cut_dendrogram(dendrogram, n, threshold);
-}
-
 }  // namespace eta2::clustering

@@ -74,10 +74,6 @@ struct MergeStep {
 [[nodiscard]] std::vector<std::size_t> cut_dendrogram(
     const std::vector<MergeStep>& dendrogram, std::size_t n, double threshold);
 
-// Convenience: cluster n items directly (dendrogram + cut).
-[[nodiscard]] std::vector<std::size_t> average_linkage_cluster(
-    const SymmetricMatrix& distances, double threshold);
-
 }  // namespace eta2::clustering
 
 #endif  // ETA2_CLUSTERING_LINKAGE_H

@@ -27,21 +27,17 @@ struct Eta2Config {
   // outliers from unit bugs or fabrication). 0 disables the range check;
   // non-finite values are always quarantined.
   double observation_abs_limit = 0.0;
-  // Use the pair-word <Query, Target> semantic vectors (paper §3.2). When
-  // false, the whole description's content words form one phrase embedding
-  // (the ablation the pair-word design is measured against). Only consulted
-  // when `domain_identifier` is empty.
-  bool use_pairword = true;
 
   // --- staged pipeline: registry-keyed stage selection ---
   // Each stage of the per-step loop (Fig. 1) is a named strategy resolved
   // through core::domain_identifiers() / allocation_strategies() /
-  // truth_updaters(). Empty strings pick the paper defaults (for the
-  // allocator: derived from the legacy `use_min_cost` toggle below).
+  // truth_updaters(). Empty strings pick the paper defaults.
   //
-  // Module 1, described tasks: "pairword-clustering" | "phrase-clustering"
-  // (tasks arriving with a known_domain label always resolve through the
-  // built-in known-label identifier first).
+  // Module 1, described tasks: "pairword-clustering" (paper §3.2) |
+  // "phrase-clustering" (the whole description's content words as one
+  // phrase, the ablation the pair-word design is measured against). Tasks
+  // arriving with a known_domain label always resolve through the built-in
+  // known-label identifier first.
   std::string domain_identifier;
   // Module 3, post-warm-up: "max-quality" | "min-cost" | "random" |
   // "reliability-greedy".
@@ -75,9 +71,6 @@ struct Eta2Config {
   std::function<void()> step_watchdog;
 
   // --- min-cost allocation (ETA²-mc) ---
-  // Legacy toggle: picks "min-cost" as the default allocator when
-  // `allocator` is empty. Prefer naming the allocator directly.
-  bool use_min_cost = false;
   double epsilon_bar = 0.5;        // quality requirement ε̄
   double confidence_alpha = 0.05;  // 1−α confidence level
   double cost_per_iteration = 50;  // c°
@@ -85,12 +78,11 @@ struct Eta2Config {
 
   // Resolved stage names (the empty-string defaults applied).
   [[nodiscard]] std::string resolved_domain_identifier() const {
-    if (!domain_identifier.empty()) return domain_identifier;
-    return use_pairword ? "pairword-clustering" : "phrase-clustering";
+    return domain_identifier.empty() ? "pairword-clustering"
+                                     : domain_identifier;
   }
   [[nodiscard]] std::string resolved_allocator() const {
-    if (!allocator.empty()) return allocator;
-    return use_min_cost ? "min-cost" : "max-quality";
+    return allocator.empty() ? "max-quality" : allocator;
   }
   [[nodiscard]] std::string resolved_warmup_allocator() const {
     return warmup_allocator.empty() ? "random" : warmup_allocator;

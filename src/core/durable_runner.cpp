@@ -448,22 +448,20 @@ DurableRunner::StepOutcome DurableRunner::replay_step(
     // observation stream reproduce bit-identically.
     const CollectFn collect = callbacks_.make_collect(step);
     outcome.result = server_->step(tasks, user_capacity, collect, rng_);
-    if (options_.verify_replay) {
-      expect_key(in, "result_crc");
-      std::uint32_t expected_crc = 0;
-      if (!(in >> expected_crc)) {
-        throw io::CorruptSnapshotError(
-            "durable: malformed COMMIT record at step " +
-            std::to_string(step));
-      }
-      const Rng::State expected_rng = read_rng_line(in, "rng_after");
-      if (digest_result(outcome.result) != expected_crc ||
-          !rng_state_equal(rng_.state(), expected_rng)) {
-        throw io::CorruptSnapshotError(
-            "durable: replay of step " + std::to_string(step) +
-            " diverged from the journaled commit (code or inputs changed "
-            "between runs?)");
-      }
+    // Verify the replay against the journaled result digest and RNG state.
+    expect_key(in, "result_crc");
+    std::uint32_t expected_crc = 0;
+    if (!(in >> expected_crc)) {
+      throw io::CorruptSnapshotError(
+          "durable: malformed COMMIT record at step " + std::to_string(step));
+    }
+    const Rng::State expected_rng = read_rng_line(in, "rng_after");
+    if (digest_result(outcome.result) != expected_crc ||
+        !rng_state_equal(rng_.state(), expected_rng)) {
+      throw io::CorruptSnapshotError(
+          "durable: replay of step " + std::to_string(step) +
+          " diverged from the journaled commit (code or inputs changed "
+          "between runs?)");
     }
   }
   ++replayed_steps_;

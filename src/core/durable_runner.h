@@ -68,10 +68,6 @@ struct DurableOptions {
   int retry_backoff_max_ms = 0;
   double retry_jitter = 0.0;
   std::uint64_t max_segment_bytes = 1 << 20;
-  // Verify replayed steps against the journaled result digest / RNG state
-  // (throws CorruptSnapshotError on divergence). Off only for experiments
-  // that deliberately change code between runs.
-  bool verify_replay = true;
   // Crash-torture instrumentation: invoked at named protocol instants
   // ("journal-append-mid", "journal-append-post", "snapshot-pre-rename",
   // "snapshot-post-rename", "journal-rotate", "journal-prune"). Torture

@@ -38,8 +38,7 @@ Eta2Server::Eta2Server(std::size_t user_count, Eta2Config config,
 
 std::vector<std::size_t> Eta2Server::top_experts(truth::DomainIndex domain,
                                                  std::size_t k) const {
-  const std::span<const truth::UserId> experts = store_.top_experts(domain, k);
-  return {experts.begin(), experts.end()};
+  return store_.top_experts(domain, k);
 }
 
 void Eta2Server::save(std::ostream& out) const {

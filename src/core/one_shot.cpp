@@ -5,7 +5,6 @@
 #include "clustering/dynamic_clusterer.h"
 #include "common/error.h"
 #include "text/pairword.h"
-#include "text/tokenizer.h"
 
 namespace eta2::core {
 namespace {
@@ -40,13 +39,7 @@ OneShotResult analyze_described(std::span<const std::string> descriptions,
   std::vector<text::Embedding> vectors;
   vectors.reserve(descriptions.size());
   for (const std::string& d : descriptions) {
-    if (options.use_pairword) {
-      vectors.push_back(text::semantic_vector(d, embedder));
-    } else {
-      text::PairWord whole;
-      whole.query = text::content_words(d);
-      vectors.push_back(text::semantic_vector(whole, embedder));
-    }
+    vectors.push_back(text::semantic_vector(d, embedder));
   }
   clustering::DynamicClusterer clusterer(options.gamma);
   const clustering::ClusterUpdate update = clusterer.add_tasks(vectors);

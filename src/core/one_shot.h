@@ -18,8 +18,7 @@
 namespace eta2::core {
 
 struct OneShotOptions {
-  double gamma = 0.5;             // clustering threshold fraction of d*
-  bool use_pairword = true;       // pair-word vs whole-description embedding
+  double gamma = 0.5;  // clustering threshold fraction of d*
   truth::MleOptions mle;
 };
 

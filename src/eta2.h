@@ -38,9 +38,7 @@
 #include "stats/ks_test.h"
 #include "stats/normal.h"
 #include "text/embedder.h"
-#include "text/embedding_io.h"
 #include "text/pairword.h"
-#include "text/phrases.h"
 #include "text/skipgram.h"
 #include "truth/baselines.h"
 #include "truth/eta2_mle.h"

@@ -69,27 +69,25 @@ void ExpertiseStore::decayed_snapshot(double alpha, const Matrix& add_num,
   }
 }
 
-std::span<const UserId> ExpertiseStore::top_experts(DomainIndex domain,
-                                                    std::size_t k) const {
+std::vector<UserId> ExpertiseStore::top_experts(DomainIndex domain,
+                                                std::size_t k) const {
   require(domain < domain_count(),
           "ExpertiseStore::top_experts: domain out of range");
-  if (rank_scratch_.size() != user_count()) {
-    rank_scratch_.resize(user_count());
-    std::iota(rank_scratch_.begin(), rank_scratch_.end(), UserId{0});
-  }
-  const std::size_t take = std::min(k, rank_scratch_.size());
-  // The scratch stays a permutation of [0, n) across calls, so a partial
-  // re-sort under the (expertise desc, id asc) total order is deterministic
-  // regardless of the order a previous call left behind.
-  std::partial_sort(rank_scratch_.begin(),
-                    rank_scratch_.begin() + static_cast<std::ptrdiff_t>(take),
-                    rank_scratch_.end(), [&](UserId a, UserId b) {
+  std::vector<UserId> rank(user_count());
+  std::iota(rank.begin(), rank.end(), UserId{0});
+  const std::size_t take = std::min(k, rank.size());
+  // (expertise desc, id asc) is a total order, so the partial sort is
+  // deterministic.
+  std::partial_sort(rank.begin(),
+                    rank.begin() + static_cast<std::ptrdiff_t>(take),
+                    rank.end(), [&](UserId a, UserId b) {
                       const double ua = expertise(a, domain);
                       const double ub = expertise(b, domain);
                       if (ua != ub) return ua > ub;
                       return a < b;
                     });
-  return {rank_scratch_.data(), take};
+  rank.resize(take);
+  return rank;
 }
 
 void ExpertiseStore::check_contribution(double alpha, const Matrix& add_num,

@@ -45,11 +45,9 @@ class ExpertiseStore {
                         const Matrix& add_den, Matrix& out) const;
 
   // The `k` users with the highest expertise in `domain` (ties broken by
-  // user id), most expert first. Backed by a reusable rank index — no
-  // per-call allocation or iota fill; the returned span is valid until the
-  // next top_experts call. Not safe for concurrent calls on one store.
-  [[nodiscard]] std::span<const UserId> top_experts(DomainIndex domain,
-                                                    std::size_t k) const;
+  // user id), most expert first.
+  [[nodiscard]] std::vector<UserId> top_experts(DomainIndex domain,
+                                                std::size_t k) const;
 
   // Eqs. 7–8: accumulators ← α·accumulators + contribution. The contribution
   // matrices must be user_count x domain_count. Pass alpha = 1 to add
@@ -86,9 +84,6 @@ class ExpertiseStore {
   MleOptions options_;
   Matrix num_;  // N(u_i^k), user_count × domain_count
   Matrix den_;  // D(u_i^k), user_count × domain_count
-  // Reusable user index for top_experts: always a permutation of
-  // [0, user_count), partially re-sorted in place on each call.
-  mutable std::vector<UserId> rank_scratch_;
 };
 
 // Computes the Eq. 7–8 contribution matrices of one batch of tasks: for each

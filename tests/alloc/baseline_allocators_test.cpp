@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,8 @@ AllocationProblem uniform_problem(std::size_t users, std::size_t tasks,
                                   double capacity = 5.0) {
   AllocationProblem p;
   p.expertise.assign(users, tasks, 1.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   p.task_time.assign(tasks, task_time);
   p.user_capacity.assign(users, capacity);
   return p;
@@ -133,6 +136,7 @@ TEST(RandomAllocatorTest, SpreadsTasksAcrossUsers) {
 TEST(ReliabilityGreedyTest, HighReliabilityUsersGetShortTasksFirst) {
   AllocationProblem p;
   p.expertise.assign(2, 2, 1.0);
+  p.task_column = {0, 1};
   p.task_time = {3.0, 1.0};   // task 1 is shorter
   p.user_capacity = {1.0, 4.0};  // user 0 can only fit the short task
   const std::vector<double> reliability = {0.9, 0.1};

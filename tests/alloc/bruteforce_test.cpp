@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "alloc/max_quality.h"
 #include "common/rng.h"
 
@@ -16,6 +18,8 @@ AllocationProblem random_tiny(std::uint64_t seed) {
   const std::size_t users = 3;
   const std::size_t tasks = 4;
   p.expertise.assign(users, tasks, 0.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   for (double& u : p.expertise.data()) u = rng.uniform(0.2, 6.0);
   p.task_time.resize(tasks);
   for (double& t : p.task_time) t = rng.uniform(0.5, 3.0);
@@ -26,6 +30,8 @@ AllocationProblem random_tiny(std::uint64_t seed) {
 TEST(BruteForceTest, RejectsLargeInstances) {
   AllocationProblem p;
   p.expertise.assign(5, 5, 1.0);
+  p.task_column.resize(5);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   p.task_time.assign(5, 1.0);
   p.user_capacity.assign(5, 1.0);
   EXPECT_THROW(optimal_allocation_bruteforce(p, kEpsilon),
@@ -35,6 +41,7 @@ TEST(BruteForceTest, RejectsLargeInstances) {
 TEST(BruteForceTest, SaturatesWhenCapacityAllows) {
   AllocationProblem p;
   p.expertise.assign(2, 2, 2.0);
+  p.task_column = {0, 1};
   p.task_time.assign(2, 1.0);
   p.user_capacity.assign(2, 10.0);
   const BruteForceResult r = optimal_allocation_bruteforce(p, kEpsilon);

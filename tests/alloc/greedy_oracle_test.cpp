@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "alloc/max_quality.h"
@@ -44,6 +45,8 @@ TEST_P(GreedyOracleSweep, MatchesNaiveImplementation) {
   const std::size_t tasks = 11;
   AllocationProblem p;
   p.expertise.assign(users, tasks, 0.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   for (double& u : p.expertise.data()) u = rng.uniform(0.0, 4.0);
   p.task_time.resize(tasks);
   for (double& t : p.task_time) t = rng.uniform(0.5, 2.5);
@@ -69,6 +72,8 @@ TEST(GreedyOracleTest, CostCapMatchesToo) {
   const std::size_t tasks = 8;
   AllocationProblem p;
   p.expertise.assign(users, tasks, 0.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   for (double& u : p.expertise.data()) u = rng.uniform(0.5, 3.0);
   p.task_time.assign(tasks, 1.0);
   p.task_cost.resize(tasks);

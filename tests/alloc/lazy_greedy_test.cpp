@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -49,6 +50,8 @@ AllocationProblem random_problem(std::uint64_t seed, std::size_t users,
   Rng rng(seed * 7919 + 13);
   AllocationProblem p;
   p.expertise.assign(users, tasks, 0.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   for (double& u : p.expertise.data()) u = rng.uniform(0.0, 4.0);
   p.task_time.resize(tasks);
   for (double& t : p.task_time) t = rng.uniform(0.5, 2.5);
@@ -325,11 +328,11 @@ AllocationProblem mapped_problem(std::uint64_t seed, std::size_t users,
   return p;
 }
 
-// The same problem with every task's column copied out: n × m, no map.
+// The same problem with every task's column copied out: n × m, identity map.
 AllocationProblem dense_copy(const AllocationProblem& p) {
   AllocationProblem dense = p;
-  dense.task_column.clear();
   dense.expertise.assign(p.user_count(), p.task_count());
+  std::iota(dense.task_column.begin(), dense.task_column.end(), std::size_t{0});
   for (UserId i = 0; i < p.user_count(); ++i) {
     for (TaskId j = 0; j < p.task_count(); ++j) {
       dense.expertise(i, j) = p.u(i, j);

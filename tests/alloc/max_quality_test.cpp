@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "alloc/knapsack.h"
 #include "common/rng.h"
@@ -16,6 +17,8 @@ AllocationProblem random_problem(std::size_t users, std::size_t tasks,
   Rng rng(seed);
   AllocationProblem p;
   p.expertise.assign(users, tasks, 0.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   for (double& u : p.expertise.data()) u = rng.uniform(0.1, 3.0);
   p.task_time.resize(tasks);
   for (double& t : p.task_time) t = rng.uniform(0.5, 2.0);
@@ -65,6 +68,7 @@ TEST(MaxQualityTest, PrefersHighExpertiseUser) {
   // be chosen first.
   AllocationProblem p;
   p.expertise = {{0.3}, {2.5}};
+  p.task_column = {0};
   p.task_time = {1.0};
   p.user_capacity = {1.0, 1.0};
   GreedyOptions options;
@@ -79,6 +83,7 @@ TEST(MaxQualityTest, EfficiencyDividesByTime) {
   // shorter task first.
   AllocationProblem p;
   p.expertise = {{1.0, 1.0}};
+  p.task_column = {0, 1};
   p.task_time = {4.0, 1.0};
   p.user_capacity = {1.0};  // only the short task fits anyway
   GreedyOptions options;
@@ -91,6 +96,7 @@ TEST(MaxQualityTest, EfficiencyDividesByTime) {
 TEST(MaxQualityTest, ZeroExpertiseMeansNoAssignment) {
   AllocationProblem p;
   p.expertise = {{0.0, 0.0}};
+  p.task_column = {0, 1};
   p.task_time = {1.0, 1.0};
   p.user_capacity = {10.0};
   const Allocation a = MaxQualityAllocator().allocate(p);
@@ -145,6 +151,7 @@ TEST(MaxQualityTest, HalfApproxHandlesAdversarialTaskTimes) {
   // recover at least half the optimum.
   AllocationProblem p;
   p.expertise = {{0.8, 20.0}};
+  p.task_column = {0, 1};
   p.task_time = {0.1, 10.0};
   p.user_capacity = {10.0};
   const Allocation a = MaxQualityAllocator().allocate(p);
@@ -163,6 +170,8 @@ TEST_P(KnapsackComparisonSweep, WithinHalfOfOptimum) {
   const std::size_t tasks = 12;
   AllocationProblem p;
   p.expertise.assign(1, tasks, 0.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   p.task_time.resize(tasks);
   std::vector<double> values(tasks);
   for (std::size_t j = 0; j < tasks; ++j) {

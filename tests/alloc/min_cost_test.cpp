@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "common/rng.h"
 #include "stats/normal.h"
@@ -38,6 +39,8 @@ World make_world(std::size_t users, std::size_t tasks, std::uint64_t seed,
     for (double& u : row) u = rng.uniform(expertise_lo, expertise_hi);
   }
   w.problem.expertise.assign(users, tasks, 0.0);
+  w.problem.task_column.resize(tasks);
+  std::iota(w.problem.task_column.begin(), w.problem.task_column.end(), std::size_t{0});
   w.problem.task_time.assign(tasks, 1.0);
   w.problem.user_capacity.assign(users, capacity);
   w.domain.resize(tasks);

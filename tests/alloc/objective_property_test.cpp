@@ -3,6 +3,7 @@
 // user-task pairs; these tests check both properties on random instances.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "alloc/allocation.h"
@@ -19,6 +20,8 @@ AllocationProblem random_problem(std::size_t users, std::size_t tasks,
   Rng rng(seed);
   AllocationProblem p;
   p.expertise.assign(users, tasks, 0.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   for (double& u : p.expertise.data()) u = rng.uniform(0.0, 5.0);
   p.task_time.assign(tasks, 1.0);
   p.user_capacity.assign(users, 1e9);  // capacity plays no role here

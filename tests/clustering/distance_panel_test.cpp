@@ -5,9 +5,9 @@
 // domain offset by 1e6. The fused identification pass built on it must
 // report, round by round, what the member-pair oracle
 // (unit_distance_oracle.h) reports for batches of 1–9 tasks, at 1, 2 and 8
-// threads; PairwiseDistancesTest gates pairwise_task_distances. Built into
-// the sanitize-labelled binary, so the TSan and ASan+UBSan jobs run the
-// padded-panel tails.
+// threads, and a multi-round stream must be bitwise the same at every thread
+// count. Built into the sanitize-labelled binary, so the TSan and ASan+UBSan
+// jobs run the padded-panel tails.
 #include "clustering/distance_panel.h"
 
 #include <gtest/gtest.h>
@@ -60,6 +60,19 @@ std::vector<text::Embedding> mixed_rows(std::size_t n, std::size_t dim,
     rows.push_back(std::move(v));
   }
   return rows;
+}
+
+std::vector<text::Embedding> random_points(std::size_t n, std::size_t dim,
+                                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<text::Embedding> points;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    text::Embedding v(dim);
+    for (double& x : v) x = rng.normal();
+    points.push_back(std::move(v));
+  }
+  return points;
 }
 
 std::vector<const double*> pointers(const std::vector<text::Embedding>& rows) {
@@ -199,6 +212,43 @@ TEST(PanelDistanceTest, FusedPassMatchesOracleOnRaggedBatches) {
   // The streams really merge existing domains and open new ones mid-stream.
   EXPECT_GT(merges, 0u);
   EXPECT_GT(late_births, 0u);
+}
+
+// The fused identification pass writes each new row's sums and unit-matrix
+// row from one lane and folds d* over fixed chunks, so a whole multi-round
+// stream — every update, d*, and the saved state — is bitwise the same at
+// 1, 2 and 8 threads.
+TEST(DynamicClustererThreadsTest, UpdatesAreBitIdenticalAcrossThreadCounts) {
+  const auto run = [](std::size_t threads) {
+    parallel::set_thread_count(threads);
+    DynamicClusterer clusterer(0.1);
+    std::ostringstream transcript;
+    for (std::uint64_t round = 0; round < 5; ++round) {
+      auto batch = random_points(37, 64, 500 + round);
+      // Four topics, plus one far outlier in round 3: it grows d*, and
+      // with it γ·d*, until existing domains merge.
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const double topic = round == 3 && i == 0 ? 10.0
+                                                  : static_cast<double>(i % 4);
+        for (double& x : batch[i]) x += 6.0 * topic;
+      }
+      const ClusterUpdate u = clusterer.add_tasks(batch);
+      for (const DomainId d : u.assignments) transcript << d << ' ';
+      for (const DomainId d : u.new_domains) transcript << 'n' << d << ' ';
+      for (const DomainMerge& m : u.merges) {
+        transcript << 'm' << m.kept << ':' << m.absorbed << ' ';
+      }
+      transcript << u.distance_evaluations << ' '
+                 << std::bit_cast<std::uint64_t>(clusterer.dstar()) << '\n';
+    }
+    clusterer.save(transcript);
+    parallel::set_thread_count(0);  // restore the default
+    return transcript.str();
+  };
+  const std::string serial = run(1);
+  EXPECT_NE(serial.find(" m"), std::string::npos);
+  EXPECT_EQ(run(2), serial);
+  EXPECT_EQ(run(8), serial);
 }
 
 }  // namespace

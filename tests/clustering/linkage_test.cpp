@@ -25,6 +25,12 @@ SymmetricMatrix from_points(const std::vector<double>& points) {
   return m;
 }
 
+// Flat clusters of singleton points: the UPGMA dendrogram cut at threshold.
+std::vector<std::size_t> flat_clusters(const SymmetricMatrix& d, double t) {
+  const std::size_t n = d.size();
+  return cut_dendrogram(upgma_dendrogram(d, std::vector<double>(n, 1.0)), n, t);
+}
+
 std::size_t cluster_count(const std::vector<std::size_t>& labels) {
   return std::set<std::size_t>(labels.begin(), labels.end()).size();
 }
@@ -146,20 +152,19 @@ TEST(UpgmaTest, RejectsBadSizes) {
 }
 
 TEST(CutTest, ThresholdZeroKeepsSingletons) {
-  const auto labels = average_linkage_cluster(from_points({0.0, 0.0, 0.0}), 0.0);
+  const auto labels = flat_clusters(from_points({0.0, 0.0, 0.0}), 0.0);
   EXPECT_EQ(cluster_count(labels), 3u);
 }
 
 TEST(CutTest, LargeThresholdMergesAll) {
-  const auto labels =
-      average_linkage_cluster(from_points({0.0, 1.0, 5.0, 9.0}), 1e9);
+  const auto labels = flat_clusters(from_points({0.0, 1.0, 5.0, 9.0}), 1e9);
   EXPECT_EQ(cluster_count(labels), 1u);
 }
 
 TEST(CutTest, RecoverseparatedGroups) {
   // Two tight groups far apart.
   const std::vector<double> points = {0.0, 0.1, 0.2, 100.0, 100.1, 100.2};
-  const auto labels = average_linkage_cluster(from_points(points), 10.0);
+  const auto labels = flat_clusters(from_points(points), 10.0);
   EXPECT_EQ(cluster_count(labels), 2u);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[1], labels[2]);
@@ -171,15 +176,15 @@ TEST(CutTest, RecoverseparatedGroups) {
 TEST(CutTest, ThresholdIsExclusive) {
   // Merge happens only when distance < threshold (paper: terminate when the
   // closest distance is equal to or larger than γ·d*).
-  const auto at_threshold = average_linkage_cluster(from_points({0.0, 2.0}), 2.0);
+  const auto at_threshold = flat_clusters(from_points({0.0, 2.0}), 2.0);
   EXPECT_EQ(cluster_count(at_threshold), 2u);
-  const auto above = average_linkage_cluster(from_points({0.0, 2.0}), 2.001);
+  const auto above = flat_clusters(from_points({0.0, 2.0}), 2.001);
   EXPECT_EQ(cluster_count(above), 1u);
 }
 
 TEST(CutTest, LabelsAreFirstAppearanceOrdered) {
   const std::vector<double> points = {0.0, 100.0, 0.1, 100.1};
-  const auto labels = average_linkage_cluster(from_points(points), 10.0);
+  const auto labels = flat_clusters(from_points(points), 10.0);
   EXPECT_EQ(labels[0], 0u);
   EXPECT_EQ(labels[1], 1u);
   EXPECT_EQ(labels[2], 0u);
@@ -197,7 +202,7 @@ TEST_P(ThresholdSweep, BetweenClusterAverageAboveThreshold) {
   std::vector<double> points;
   for (int i = 0; i < 30; ++i) points.push_back(rng.uniform(0.0, 50.0));
   const auto matrix = from_points(points);
-  const auto labels = average_linkage_cluster(matrix, threshold);
+  const auto labels = flat_clusters(matrix, threshold);
   const std::size_t k = cluster_count(labels);
   // Average pairwise distance between every pair of final clusters.
   for (std::size_t a = 0; a < k; ++a) {

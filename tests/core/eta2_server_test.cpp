@@ -169,7 +169,7 @@ TEST(Eta2ServerTest, DescribedTasksClusterIntoDomains) {
 
 TEST(Eta2ServerTest, MinCostModeReportsDataIterations) {
   Eta2Config config;
-  config.use_min_cost = true;
+  config.allocator = "min-cost";
   config.cost_per_iteration = 4.0;
   config.epsilon_bar = 0.9;
   Eta2Server server(6, config, nullptr);

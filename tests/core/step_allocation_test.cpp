@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -39,6 +40,8 @@ Batch random_batch(std::size_t users, std::size_t tasks, std::size_t domains,
   for (std::size_t j = 0; j < tasks; ++j) batch.task_domains[j] = j % domains;
   alloc::AllocationProblem& p = batch.problem;
   p.expertise.assign(users, tasks, 0.0);
+  p.task_column.resize(tasks);
+  std::iota(p.task_column.begin(), p.task_column.end(), std::size_t{0});
   for (std::size_t i = 0; i < users; ++i) {
     std::vector<double> per_domain(domains);
     for (double& u : per_domain) u = rng.uniform(0.1, 3.0);
@@ -189,7 +192,7 @@ CollectFn scripted_collect(std::size_t silent_every) {
 TEST(ShardedGreedyTest, RespectsCostCapLikeMonolithic) {
   const CollectFn collect = scripted_collect(0);
   Eta2Config config;
-  config.use_min_cost = true;
+  config.allocator = "min-cost";
   config.cost_per_iteration = 3.0;
   const MinCostRun reference = min_cost_in_step(config, collect, 1);
   // The cap binds: several rounds, none adding more than c° of cost.
@@ -209,7 +212,7 @@ TEST(ShardedGreedyTest, ExtendsPartialAllocationIdentically) {
   // extend an allocation that already holds asked-but-unanswered pairs.
   const CollectFn collect = scripted_collect(3);
   Eta2Config config;
-  config.use_min_cost = true;
+  config.allocator = "min-cost";
   config.cost_per_iteration = 4.0;
   const MinCostRun reference = min_cost_in_step(config, collect, 1);
   ASSERT_GT(reference.data_iterations, 1);

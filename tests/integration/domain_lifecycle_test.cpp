@@ -119,7 +119,7 @@ TEST(DomainLifecycleTest, MinCostWorksWithDescribedTasks) {
   auto embedder = std::make_shared<text::HashEmbedder>(32);
   Eta2Config config;
   config.gamma = 0.4;
-  config.use_min_cost = true;
+  config.allocator = "min-cost";
   config.epsilon_bar = 0.8;
   config.cost_per_iteration = 6.0;
   Eta2Server server(6, config, embedder);

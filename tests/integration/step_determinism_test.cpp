@@ -51,7 +51,7 @@ TEST(ShardedDeterminismTest, MinCostPipelineUnaffectedByShardKnobs) {
   // Min-cost refreshes the truth inside its allocation rounds before the
   // dynamic update runs; the whole transcript must still be stable.
   core::Eta2Config config;
-  config.use_min_cost = true;
+  config.allocator = "min-cost";
   const std::string reference = run_labeled(config, 1);
   for (const std::size_t threads : kThreadCounts) {
     EXPECT_EQ(reference, run_labeled(config, threads)) << threads;
